@@ -387,8 +387,8 @@ def rigidity_report(state: TowerState, i: int, guard: int = 100_000,
     if not 1 <= i <= state.depth - 1:
         raise ValueError(f"rigidity check needs 1 <= i <= {state.depth - 1}")
     chain = tower_chain(state)[:i + 1]
-    module = state.levels[i].module           # V_{i+1}
-    guaranteed = state.levels[i].hlist_used
+    level = state.levels[i]                   # V_{i+1} = R/S
+    guaranteed = level.hlist_used
     descs = normal_subgroups(chain, guard)
     qualifying = []
     for d in descs:
@@ -405,7 +405,7 @@ def rigidity_report(state: TowerState, i: int, guard: int = 100_000,
     bad = []
     for d in qualifying:
         gens = desc_generators(d, chain)
-        fixed = module.fixed_dim(gens)
+        fixed = level.rel.quotient_fixed_dim(level.module.killed, gens)
         if fixed != 0:
             bad.append({"desc": d.label(), "fixed_dim": fixed})
     if not bad:

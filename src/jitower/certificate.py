@@ -42,16 +42,6 @@ class Certificate:
     meta: dict = field(default_factory=dict)
     checks: list = field(default_factory=list)
 
-    def add(self, check: str, ok: bool, detail: str = "",
-            status_ok: str = PASS, witness: dict | None = None) -> CheckResult:
-        result = CheckResult(check, status_ok if ok else FAIL, detail,
-                             witness if not ok else None)
-        self.checks.append(result)
-        return result
-
-    def extend(self, results):
-        self.checks.extend(results)
-
     @property
     def failures(self) -> list:
         return [c for c in self.checks if c.status == FAIL]

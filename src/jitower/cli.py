@@ -16,8 +16,8 @@ from fractions import Fraction
 from .certificate import Certificate, CheckResult, FAIL, PASS
 from .groups import CapExceeded
 from .tower import (FeasibilityStop, LoadError, TowerConfig, TowerState,
-                    betti_checks, build, load_tower, save_tower, step,
-                    torsion_shadow_check)
+                    betti_checks, build, fixed_space_checks, load_tower,
+                    save_tower, step, torsion_shadow_check)
 from .words import OrderBudget
 
 CHECK_GROUPS = ("core", "betti", "torsion", "grading", "fixed", "normals",
@@ -172,36 +172,10 @@ def _verify_core(state: TowerState) -> list:
 
 
 def _verify_fixed(state: TowerState) -> list:
-    from .certificate import NOT_GUARANTEED, SAMPLED
-    from .forge import cyclic_subgroup_reps
     checks = []
-    eps = state.config.epsilon
-    for lv in state.levels:
-        if lv.index < 2:
-            continue
-        below = state.group(lv.index - 1)
-        if not below.is_enumerable(state.config.enum_cap):
-            continue
-        reps = cyclic_subgroup_reps(below)
-        margin_ok, eps_ok = True, True
-        witness = None
-        for e, size in reps:
-            dim = lv.module.fixed_dim([e])
-            if lv.delta > 0 and Fraction(dim) > Fraction(lv.dim) / (lv.delta * size):
-                margin_ok = False
-                witness = {"subgroup_size": size, "fixed_dim": dim}
-            if Fraction(dim) * (1 - eps) * size > Fraction(lv.dim):
-                eps_ok = False
-                witness = {"subgroup_size": size, "fixed_dim": dim}
-        checks.append(CheckResult(
-            f"level{lv.index}.fixed-bound-margin", SAMPLED if margin_ok else FAIL,
-            f"dim V^K <= dim V/(delta|K|) over {len(reps)} cyclic subgroups",
-            witness=None if margin_ok else witness))
-        checks.append(CheckResult(
-            f"level{lv.index}.fixed-bound-eps",
-            SAMPLED if eps_ok else (NOT_GUARANTEED if lv.relaxed_used else FAIL),
-            f"dim V^K <= dim V/((1-eps)|K|) over {len(reps)} cyclic subgroups",
-            witness=None if eps_ok else witness))
+    for lv in state.levels[1:]:
+        if state.group(lv.index - 1).is_enumerable(state.config.enum_cap):
+            checks.extend(fixed_space_checks(state, lv))
     return checks
 
 

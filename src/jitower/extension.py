@@ -133,9 +133,6 @@ class ExtensionGroup(GroupHandle):
         s = self._sections[self.lower.index_of(e.lower)]
         return (e.vec - s) % self.field.p
 
-    def split_coeffs(self, e: ExtElement) -> np.ndarray:
-        return self.vpart(e)[list(self.module.live.pivots)]
-
     def from_vpart(self, lower, v) -> ExtElement:
         vec = self.module.killed.reduce(
             self._sections[self.lower.index_of(lower)] + np.asarray(v, dtype=np.int64))

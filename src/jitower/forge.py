@@ -249,7 +249,7 @@ def verify_conclusions(result: ForgeResult, extra_subgroups=(),
                 data = SubgroupData.from_elements(inp.group, extra)
                 subs.append((data.generators, data.size))
             for gens, size in subs:
-                dim = v.fixed_dim(gens)
+                dim = result.rel.quotient_fixed_dim(v.killed, gens)
                 # dim V^K <= dim V / (delta |K|), exactly
                 if Fraction(dim) > Fraction(v.live_dim, 1) / (result.delta * size):
                     ok = False

@@ -207,7 +207,12 @@ class GModule:
         return Subspace.span(self.field, self.ambient_dim, rows)
 
     def fixed_dim(self, subgroup_elements) -> int:
-        """dim of the joint fixed space; rank only, no basis construction."""
+        """dim of the joint fixed space, as live_dim minus the rank of the
+        stacked (g - 1) blocks of the live action (a full rref).
+
+        The direct computation for any module; level modules use
+        ``RelationModule.quotient_fixed_dim``, which this cross-checks.
+        """
         if self.live_dim == 0:
             return 0
         blocks = self._fixed_blocks(subgroup_elements)

@@ -22,7 +22,6 @@ __all__ = [
     "closure_indices",
     "normal_closure_indices",
     "product_set_indices",
-    "is_subgroup_indices",
     "is_normal_indices",
     "normalizer_indices",
     "all_subgroups_indices",
@@ -384,14 +383,6 @@ def product_set_indices(table: np.ndarray, a, b) -> np.ndarray:
     a = np.asarray(list(a), dtype=np.int64)
     b = np.asarray(list(b), dtype=np.int64)
     return np.unique(table[np.ix_(a, b)])
-
-
-def is_subgroup_indices(table: np.ndarray, sub) -> bool:
-    s = np.asarray(sorted(sub), dtype=np.int64)
-    if s.size == 0 or s[0] != 0:
-        return False
-    prods = np.unique(table[np.ix_(s, s)])
-    return prods.size == s.size and np.array_equal(prods, s)
 
 
 def is_normal_indices(table: np.ndarray, inv: np.ndarray, sub) -> bool:

@@ -11,6 +11,13 @@ Elements of the free group embed multiplicatively into pairs
 (fox vector, image): the vector of evaluated Fox derivatives satisfies the
 derivation identity  boundary(vector) = image - 1, and pairs multiply by
 (a, g)(b, h) = (a + g.b, gh).
+
+Level modules are quotients R/S by a G-stable S, and their fixed spaces
+need no rank computation of size dim R.  Since p does not divide |G|,
+taking K-fixed points is exact, so  dim (R/S)^K = dim R^K - dim S^K.  The
+first term is Gaschuetz's (d-1)|G:K| + 1, the Euler characteristic of the
+coset graph Kh -> Kh t_i (connected, since the t_i generate); only the
+small action on S needs a rank.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ import numpy as np
 
 from .gmodule import GModule
 from .groups import CapExceeded, GroupHandle, closure_indices
-from .linalg import PrimeField, kernel_basis
+from .linalg import PrimeField, Subspace, kernel_basis, rref
 from .words import Word, fox_vector
 
 __all__ = [
@@ -64,6 +71,23 @@ class RelationModule:
         out[self.group.index_of(g)] += 1
         out[0] -= 1
         return out % self.field.p
+
+    def quotient_fixed_dim(self, killed: Subspace, elements) -> int:
+        """dim (R/S)^K for S = ``killed`` and K the subgroup generated by
+        ``elements``, as dim R^K - dim S^K (see the module docstring).
+
+        ``killed`` must be a G-stable subspace of the boundary kernel, as
+        the killed space of every level module is.
+        """
+        idxs = sorted({self.module._g_index(g) for g in elements} - {0})
+        index = self.group.order // closure_indices(
+            self.group.mult_table(), idxs).size
+        # S^K is the left kernel of the stacked (g - 1) on S's reduced basis
+        s = killed.dim
+        blocks = [self.module.act_raw(g, killed.basis)[:, killed.pivots]
+                  - np.eye(s, dtype=np.int64) for g in idxs]
+        rank = rref(np.hstack(blocks), self.field.p)[2] if s and blocks else 0
+        return (self.d - 1) * index + 1 - (s - rank)
 
 
 def boundary_matrix(group: GroupHandle, gen_idxs, p: int) -> np.ndarray:

@@ -101,6 +101,9 @@ class TowerConfig:
             raise ValueError("primes must be pairwise distinct")
         for p in self.primes:
             PrimeField(p)
+            if p > len(DIGITS):
+                raise ValueError(f"prime {p} exceeds {len(DIGITS)}, the largest "
+                                 "base the tower file format can write")
             if seed.order % p == 0:
                 raise ValueError(f"prime {p} divides the seed order {seed.order}")
         if not 1 <= self.depth <= len(self.primes):
@@ -298,38 +301,37 @@ def _hlist(state: TowerState) -> list:
     return list(seen.values())
 
 
-def _fixed_space_checks(state: TowerState, res, prefix: str,
-                        relaxed_used: bool) -> list:
-    """One pass over the cyclic subgroups of the base, emitting both the
-    margin-based and the epsilon-based fixed-space bounds.
+def fixed_space_checks(state: TowerState, lv: Level) -> list:
+    """One pass over the cyclic subgroups K of the base of level ``lv``,
+    emitting both the margin-based and the epsilon-based bounds on dim V^K.
 
     The margin bound is guaranteed by the construction whenever delta > 0,
     so violating it is a genuine failure; the epsilon bound is only claimed
-    by strict-mode towers and degrades to not-guaranteed otherwise.
+    by strict-mode towers and degrades to not-guaranteed otherwise.  Build
+    and verify both emit these checks through this function.
     """
     eps = state.config.epsilon
-    v = res.module
-    reps = cyclic_subgroup_reps(res.input.group)
+    reps = cyclic_subgroup_reps(state.group(lv.index - 1))
     margin_ok, eps_ok = True, True
     witness = None
     for e, size in reps:
-        dim = v.fixed_dim([e])
-        if res.delta > 0 and Fraction(dim) > Fraction(v.live_dim) / (res.delta * size):
+        dim = lv.rel.quotient_fixed_dim(lv.module.killed, [e])
+        if lv.delta > 0 and Fraction(dim) > Fraction(lv.dim) / (lv.delta * size):
             margin_ok = False
             witness = {"subgroup_size": size, "fixed_dim": dim}
-        if Fraction(dim) * (1 - eps) * size > Fraction(v.live_dim):
+        if Fraction(dim) * (1 - eps) * size > Fraction(lv.dim):
             eps_ok = False
             witness = {"subgroup_size": size, "fixed_dim": dim}
-    eps_bad = NOT_GUARANTEED if relaxed_used else FAIL
-    out = [CheckResult(f"{prefix}.fixed-bound-margin",
-                       SAMPLED if margin_ok else FAIL,
-                       f"dim V^K <= dim V/(delta|K|) over {len(reps)} cyclic subgroups",
-                       witness=None if margin_ok else witness),
-           CheckResult(f"{prefix}.fixed-bound-eps",
-                       SAMPLED if eps_ok else eps_bad,
-                       f"dim V^K <= dim V/((1-eps)|K|) over {len(reps)} cyclic subgroups",
-                       witness=None if eps_ok else witness)]
-    return out
+    eps_bad = NOT_GUARANTEED if lv.relaxed_used else FAIL
+    prefix = f"level{lv.index}"
+    return [CheckResult(f"{prefix}.fixed-bound-margin",
+                        SAMPLED if margin_ok else FAIL,
+                        f"dim V^K <= dim V/(delta|K|) over {len(reps)} cyclic subgroups",
+                        witness=None if margin_ok else witness),
+            CheckResult(f"{prefix}.fixed-bound-eps",
+                        SAMPLED if eps_ok else eps_bad,
+                        f"dim V^K <= dim V/((1-eps)|K|) over {len(reps)} cyclic subgroups",
+                        witness=None if eps_ok else witness)]
 
 
 def step(state: TowerState) -> Level:
@@ -396,11 +398,10 @@ def step(state: TowerState) -> Level:
 
     for c in verify_conclusions(res, check_fixed_bound=False, prefix=prefix):
         state.checks.append(c)
-    state.checks.extend(_fixed_space_checks(state, res, prefix, relaxed_used))
-
     level = Level(k + 1, field, res.rel, res.module, res.gen_vecs,
                   res.section_vec, res.extension(), res.delta, len(words),
                   len(subgroups), hlist_used, relaxed_used)
+    state.checks.extend(fixed_space_checks(state, level))
     state.levels.append(level)
 
     # canonical projection compatibility on deterministic random words
@@ -518,9 +519,7 @@ def build(config: TowerConfig) -> tuple:
 # serialization
 
 
-def _vec_str(vec: np.ndarray, p: int) -> str:
-    if p > len(DIGITS):
-        raise ValueError(f"serialization supports p <= {len(DIGITS)}, got {p}")
+def _vec_str(vec: np.ndarray) -> str:
     return "".join(DIGITS[int(x)] for x in vec)
 
 
@@ -572,9 +571,8 @@ def serialize_tower(state: TowerState) -> list:
         lines.append(f"frozen {order} {lvl} {letters}")
     lines.append(f"levels {state.depth}")
     for lv in state.levels:
-        p = lv.p
         lines.append(f"level {lv.index}")
-        lines.append(f"prime {p}")
+        lines.append(f"prime {lv.p}")
         lines.append(f"ambient {lv.module.ambient_dim}")
         lines.append(f"sdim {lv.module.killed.dim}")
         lines.append(f"vdim {lv.dim}")
@@ -584,10 +582,10 @@ def serialize_tower(state: TowerState) -> list:
         lines.append(f"hlist {int(lv.hlist_used)}")
         lines.append(f"relaxed {int(lv.relaxed_used)}")
         for row in lv.module.killed.basis:
-            lines.append("srow " + _vec_str(row, p))
+            lines.append("srow " + _vec_str(row))
         for row in lv.gen_vecs:
-            lines.append("gen " + _vec_str(row, p))
-        lines.append("section " + _vec_str(lv.section_vec, p))
+            lines.append("gen " + _vec_str(row))
+        lines.append("section " + _vec_str(lv.section_vec))
     lines.append("end")
     return lines
 

@@ -45,6 +45,14 @@ def test_invalid_epsilon_exits_two(tmp_path, capsys):
     assert "epsilon" in capsys.readouterr().err
 
 
+def test_prime_above_digit_alphabet_exits_two(tmp_path, capsys):
+    cfg = write_config(tmp_path / "bad.cfg", primes="37", depth=1)
+    out = tmp_path / "x.twr"
+    assert main(["build", "--config", cfg, "--out", str(out)]) == 2
+    assert "prime 37" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_tower_exits_two(tmp_path, capsys):
     assert main(["verify", "--tower", str(tmp_path / "nope.twr")]) == 2
     capsys.readouterr()

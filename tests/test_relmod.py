@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from jitower.groups import TableGroup, word_image
-from jitower.linalg import PrimeField, rref
+from jitower.linalg import PrimeField, Subspace, rref
 from jitower.relmod import (magnus_pair, magnus_product, relation_module,
                             relator_power_image)
 from jitower.words import Word
 
-from conftest import c2, c3, c22, s3
+from conftest import c2, c3, c4, c6, c22, s3
 
 
 def test_trivial_group_relation_module_is_full_space():
@@ -124,6 +124,49 @@ def test_fixed_space_dimension_formula_with_lattice():
             elements = [group.element(i) for i in sub]
             dim = rel.module.fixed_dim(elements)
             assert dim == (d - 1) * (group.order // len(sub)) + 1
+
+
+def test_quotient_fixed_dim_matches_direct_rank_small_groups():
+    # killed spaces: zero, the norm line, and the G-span of a random
+    # boundary-kernel vector; every subgroup of each group
+    rng = random.Random(23)
+    for make in (c4, c6, c22, s3):
+        group = make()
+        for d in (2, 3):
+            gens = tuple(group.generators) + (group.elements()[-1],) * (d - 2)
+            for p in (5, 7):
+                rel = relation_module(group, gens, PrimeField(p))
+                mod = rel.module
+                coeffs = [rng.randrange(p) for _ in range(mod.live_dim)]
+                random_vec = np.asarray(coeffs, dtype=np.int64) @ mod.live.basis % p
+                for killed in (Subspace.zero(rel.field, mod.ambient_dim),
+                               mod.g_span(mod.norm_vector(0)),
+                               mod.g_span(random_vec)):
+                    quotient = mod.quotient(killed)
+                    for sub in group.all_subgroups():
+                        elements = [group.element(i) for i in sub]
+                        assert (rel.quotient_fixed_dim(quotient.killed, elements)
+                                == quotient.fixed_dim(elements)), \
+                            (group.name, d, p, killed.dim, sub)
+
+
+@pytest.mark.parametrize("tower", ["default_tower", "budget_tower",
+                                   "forced_hlist_tower", "seeded_hlist_tower"])
+def test_quotient_fixed_dim_matches_direct_rank_on_fixture_towers(tower, request):
+    # every cyclic subgroup rep and every normal subgroup the rigidity
+    # report qualifies, at every level >= 2
+    from jitower.analysis import desc_generators, normal_subgroups, tower_chain
+    from jitower.forge import cyclic_subgroup_reps
+    state, _ = request.getfixturevalue(tower)
+    for lv in state.levels[1:]:
+        chain = tower_chain(state)[:lv.index]
+        subgroups = [[e] for e, _ in cyclic_subgroup_reps(chain[-1])]
+        subgroups += [desc_generators(d, chain)
+                      for d in normal_subgroups(chain, state.config.submodule_guard)
+                      if d.lower is not None and not d.lower.is_trivial]
+        for gens in subgroups:
+            assert (lv.rel.quotient_fixed_dim(lv.module.killed, gens)
+                    == lv.module.fixed_dim(gens)), (tower, lv.index, gens)
 
 
 def test_word_image_matches_magnus_value():
