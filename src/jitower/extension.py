@@ -45,17 +45,6 @@ class ExtElement(_BaseElement):
     def inverse(self) -> "ExtElement":
         return self.group._inverse(self)
 
-    @property
-    def coords(self) -> list:
-        """Per-level ambient vectors, outermost level first, plus the seed index."""
-        out = [self.vec]
-        x = self.lower
-        while isinstance(x, ExtElement):
-            out.append(x.vec)
-            x = x.lower
-        out.append(x)
-        return out
-
     def __eq__(self, other):
         return (isinstance(other, ExtElement) and other.group is self.group
                 and np.array_equal(other.vec, self.vec) and other.lower == self.lower)

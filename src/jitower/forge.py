@@ -186,18 +186,16 @@ def cyclic_subgroup_reps(group: GroupHandle) -> list:
     return reps
 
 
-def verify_conclusions(result: ForgeResult, extra_subgroups=(),
-                       exhaustive_limit: int = 1000,
-                       check_fixed_bound: bool = True,
+def verify_conclusions(result: ForgeResult, check_fixed_bound: bool = True,
                        prefix: str = "forge") -> list:
     """Re-derive every advertised conclusion numerically.
 
     Orders of the listed words are recomputed in the extension; the fixed
     space of every listed subgroup is recomputed on V; the fixed-space
-    bound is checked for every cyclic subgroup of the base group plus any
-    supplied extras (and is labelled as sampled, since the full subgroup
-    lattice is out of reach in general).  The section is checked to be a
-    homomorphism, exhaustively for small base groups.
+    bound is checked for every cyclic subgroup of the base group (and is
+    labelled as sampled, since the full subgroup lattice is out of reach in
+    general).  The section is checked to be a homomorphism, exhaustively
+    for base groups of order at most 1000.
     """
     inp = result.input
     checks = []
@@ -244,12 +242,9 @@ def verify_conclusions(result: ForgeResult, extra_subgroups=(),
         if result.delta > 0:
             ok = True
             worst = None
-            subs = [((e,), size) for e, size in cyclic_subgroup_reps(inp.group)]
-            for extra in extra_subgroups:
-                data = SubgroupData.from_elements(inp.group, extra)
-                subs.append((data.generators, data.size))
-            for gens, size in subs:
-                dim = result.rel.quotient_fixed_dim(v.killed, gens)
+            subs = cyclic_subgroup_reps(inp.group)
+            for e, size in subs:
+                dim = result.rel.quotient_fixed_dim(v.killed, [e])
                 # dim V^K <= dim V / (delta |K|), exactly
                 if Fraction(dim) > Fraction(v.live_dim, 1) / (result.delta * size):
                     ok = False
@@ -264,7 +259,7 @@ def verify_conclusions(result: ForgeResult, extra_subgroups=(),
 
     # section homomorphism
     n = inp.group.order
-    if n <= exhaustive_limit:
+    if n <= 1000:
         lt = inp.group.mult_table()
         sec = ext._sections
         ok = True

@@ -28,7 +28,7 @@ import numpy as np
 from .certificate import Certificate, CheckResult, FAIL, NOT_GUARANTEED, PASS, SAMPLED
 from .extension import ExtensionGroup
 from .forge import (BuildError, ForgeInput, SubgroupData, build_module,
-                    cyclic_subgroup_reps, splitting_vector,
+                    compute_delta, cyclic_subgroup_reps, splitting_vector,
                     verify_conclusions)
 from .gmodule import GModule
 from .groups import CapExceeded, TableGroup, word_image
@@ -44,7 +44,9 @@ __all__ = [
     "LoadError",
     "init_tower",
     "step",
+    "grow",
     "build",
+    "gate_checks",
     "normal_closure_in_extension",
     "save_tower",
     "load_tower",
@@ -62,6 +64,58 @@ class FeasibilityStop(RuntimeError):
 
 class LoadError(ValueError):
     """A tower file failed to parse or failed an invariant on load."""
+
+
+def _flag(s: str) -> bool:
+    if s.lower() in ("1", "true", "yes", "on"):
+        return True
+    if s.lower() in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(f"not a boolean: {s!r}")
+
+
+def _flag_str(b: bool) -> str:
+    return str(int(b))
+
+
+def _fraction(s: str) -> Fraction:
+    try:
+        return Fraction(s)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {s!r}") from None
+
+
+def _fraction_str(x: Fraction) -> str:
+    return f"{x.numerator}/{x.denominator}"
+
+
+def _ints(s: str) -> tuple:
+    return tuple(int(x) for x in s.replace(",", " ").split())
+
+
+def _budget(s: str) -> OrderBudget:
+    scale, base = _ints(s)
+    return OrderBudget(scale, base)
+
+
+# One entry per TowerConfig field except the seed, in tower-header order:
+# (key, parse, canonical rendering).  The key is the attribute name, the
+# config-file key and the header key, except that config files spell the
+# budget as budget_scale and budget_base.  Parsers raise ValueError.
+CONFIG_FIELDS = (
+    ("d", int, str),
+    ("epsilon", _fraction, _fraction_str),
+    ("primes", _ints, lambda primes: " ".join(map(str, primes))),
+    ("budget", _budget, lambda b: f"{b.scale} {b.base}"),
+    ("mode", str, str),
+    ("force_hlist", _flag, _flag_str),
+    ("test_budget", _flag, _flag_str),
+    ("enum_cap", int, str),
+    ("submodule_guard", int, str),
+    ("scan_cap", int, str),
+    ("torsion_scan_len", int, str),
+    ("depth", int, str),
+)
 
 
 @dataclass
@@ -84,11 +138,15 @@ class TowerConfig:
     def relaxed(self) -> bool:
         return self.mode == "relaxed"
 
+    def closure_list(self, k: int) -> bool:
+        """Whether level k is built with the closure list of level k-1."""
+        return k > 1 and (self.force_hlist
+                          or hlist_gate(self.primes[k - 2], self.epsilon))
+
     def load_seed(self) -> TableGroup:
         if self.seed_path is None:
             return TableGroup.trivial(self.d)
-        seed = TableGroup.from_file(self.seed_path)
-        return seed
+        return TableGroup.from_file(self.seed_path)
 
     def validate(self, seed: TableGroup):
         if self.d < 2:
@@ -184,16 +242,13 @@ def _first_level(config: TowerConfig, seed: TableGroup) -> Level:
     if seed.order == 1:
         rel = relation_module(seed, seed.generators, field)
         module = rel.module
-        gen_vecs = np.eye(d, dtype=np.int64)
         section_vec = splitting_vector(rel)
     else:
         rel = None
         module = GModule.trivial(field, seed, d)
-        gen_vecs = np.zeros((d, module.ambient_dim), dtype=np.int64)
-        for j in range(d):
-            gen_vecs[j, j * seed.order] = 1
-        gen_vecs = module.killed.reduce(gen_vecs)
         section_vec = np.zeros(module.ambient_dim, dtype=np.int64)
+    # e_j is the unit vector at the identity of copy j
+    gen_vecs = module.killed.reduce(np.eye(d * seed.order, dtype=np.int64)[::seed.order])
     group = ExtensionGroup(module, gen_vecs=gen_vecs,
                            gen_lowers=seed.generators,
                            section_vec=section_vec, name="level1")
@@ -243,6 +298,17 @@ def _scan_words(state: TowerState) -> list:
         if order > o:
             out.append((w, order))
     return out
+
+
+def sorted_ledger(state: TowerState) -> list:
+    """The ledger's (word, (order, level)) items, shortest word first."""
+    return sorted(state.ledger.items(), key=lambda kv: (len(kv[0]), kv[0].letters))
+
+
+def ledger_at_top(state: TowerState) -> list:
+    """(word, frozen order, level, order at the top) per ledger word."""
+    return [(w, order, lvl, state.top.element_order(state.pi(w, state.depth)))
+            for w, (order, lvl) in sorted_ledger(state)]
 
 
 def normal_closure_in_extension(ext: ExtensionGroup, g_lower):
@@ -334,6 +400,28 @@ def fixed_space_checks(state: TowerState, lv: Level) -> list:
                         witness=None if eps_ok else witness)]
 
 
+def gate_checks(state: TowerState, lv: Level) -> list:
+    """The margin and dimension-bound gates of a level above the first:
+    delta > 1 - eps and dim V >= (d-1)|G|(1-eps), with G the base group.
+
+    A violated gate is not-guaranteed in relaxed mode, where the build
+    bypasses it, and a failure in strict mode.  Build and verify both emit
+    the two checks through this function.
+    """
+    config = state.config
+    eps = config.epsilon
+    bound = Fraction(config.d - 1) * state.group(lv.index - 1).order * (1 - eps)
+    bad = NOT_GUARANTEED if config.relaxed else FAIL
+    gates = (("margin", lv.delta > 1 - eps,
+              f"delta = {lv.delta} vs 1 - eps = {1 - eps} (r={lv.r}, s={lv.s})"),
+             ("dim-lower-bound", Fraction(lv.dim) >= bound,
+              f"dim V = {lv.dim} >= (d-1)|G|(1-eps) = {bound}"))
+    return [CheckResult(f"level{lv.index}.{name}", PASS if ok else bad,
+                        detail + ("" if ok or bad == FAIL
+                                  else "; gate bypassed in relaxed mode"))
+            for name, ok, detail in gates]
+
+
 def step(state: TowerState) -> Level:
     """Build one more level on top of the tower."""
     config = state.config
@@ -358,49 +446,26 @@ def step(state: TowerState) -> Level:
             state.ledger[w] = (order, k)
     words = tuple(sorted(state.ledger, key=lambda w: (len(w), w.letters)))
 
-    hlist_used = config.force_hlist or hlist_gate(state.levels[-1].p, config.epsilon)
+    hlist_used = config.closure_list(k + 1)
     subgroups = tuple(_hlist(state)) if hlist_used else ()
 
     inp = ForgeInput(top, tuple(top.generators), field, words, subgroups,
                      relaxed=config.relaxed)
     res = build_module(inp)
-
-    margin_ok = res.delta > 1 - config.epsilon
-    if not margin_ok and not config.relaxed:
-        state.checks.append(CheckResult(
-            f"{prefix}.margin", FAIL,
-            f"delta = {res.delta} vs 1 - eps = {1 - config.epsilon}"))
-        raise BuildError(
-            f"delta = {res.delta} <= 1 - eps = {1 - config.epsilon} in strict mode")
-    state.checks.append(CheckResult(
-        f"{prefix}.margin", PASS if margin_ok else NOT_GUARANTEED,
-        f"delta = {res.delta} vs 1 - eps = {1 - config.epsilon} "
-        f"(r={len(words)}, s={len(subgroups)})"
-        + ("" if margin_ok else "; gate bypassed in relaxed mode")))
-    relaxed_used = not margin_ok
-
-    state.checks.append(CheckResult(
-        f"{prefix}.kernel-dim", PASS,
-        f"dim ker = {res.rel.kernel_dim} = (d-1)|G|+1 with |G| = {top.order}"))
-
-    bound = Fraction(config.d - 1) * top.order * (1 - config.epsilon)
-    dim_ok = Fraction(res.dim) >= bound
-    if not dim_ok and not config.relaxed:
-        state.checks.append(CheckResult(
-            f"{prefix}.dim-lower-bound", FAIL,
-            f"dim V = {res.dim} >= (d-1)|G|(1-eps) = {bound}"))
-        raise BuildError(f"dim V = {res.dim} below the strict bound {bound}")
-    state.checks.append(CheckResult(
-        f"{prefix}.dim-lower-bound", PASS if dim_ok else NOT_GUARANTEED,
-        f"dim V = {res.dim} >= (d-1)|G|(1-eps) = {bound}"
-        + ("" if dim_ok else "; gate bypassed in relaxed mode")))
-    relaxed_used = relaxed_used or not dim_ok
-
-    for c in verify_conclusions(res, check_fixed_bound=False, prefix=prefix):
-        state.checks.append(c)
     level = Level(k + 1, field, res.rel, res.module, res.gen_vecs,
                   res.section_vec, res.extension(), res.delta, len(words),
-                  len(subgroups), hlist_used, relaxed_used)
+                  len(subgroups), hlist_used, False)
+    margin, dim_bound = gate_checks(state, level)
+    level.relaxed_used = any(g.status != PASS for g in (margin, dim_bound))
+    state.checks += [margin, CheckResult(
+        f"{prefix}.kernel-dim", PASS,
+        f"dim ker = {res.rel.kernel_dim} = (d-1)|G|+1 with |G| = {top.order}"),
+        dim_bound]
+    for gate in (margin, dim_bound):
+        if gate.status == FAIL:
+            raise BuildError(f"{gate.check} fails in strict mode: {gate.detail}")
+
+    state.checks.extend(verify_conclusions(res, check_fixed_bound=False, prefix=prefix))
     state.checks.extend(fixed_space_checks(state, level))
     state.levels.append(level)
 
@@ -418,18 +483,13 @@ def step(state: TowerState) -> Level:
         "q(pi_top(w)) = pi_below(w) on 40 pseudorandom words"))
 
     # the whole ledger keeps its frozen orders at the new top
-    ok = True
-    detail = []
-    for w, (order, lvl) in sorted(state.ledger.items(),
-                                  key=lambda kv: (len(kv[0]), kv[0].letters)):
-        now = state.top.element_order(state.pi(w, k + 1))
-        detail.append(f"{order}@{lvl}->{now}")
-        if now != order:
-            ok = False
+    rows = ledger_at_top(state)
+    detail = ", ".join(f"{order}@{lvl}->{now}" for _, order, lvl, now in rows)
     state.checks.append(CheckResult(
-        f"{prefix}.order-stability", PASS if ok else FAIL,
-        f"{len(state.ledger)} frozen words keep their orders"
-        + (f" ({', '.join(detail)})" if detail else "")))
+        f"{prefix}.order-stability",
+        PASS if all(order == now for _, order, _, now in rows) else FAIL,
+        f"{len(rows)} frozen words keep their orders"
+        + (f" ({detail})" if detail else "")))
 
     size = (str(level.group.order) if level.group.order < 10 ** 12
             else f"{level.p}^{level.dim} * {top.order}")
@@ -463,32 +523,36 @@ def torsion_shadow_check(state: TowerState) -> CheckResult:
         f"{exp} and stays within budget/frozen bounds", witness=worst)
 
 
+def betti_ratio(state: TowerState, lv: Level) -> tuple:
+    """dim V_k / |G_{k-1}| for level k, and the threshold (d-1)(1-eps)."""
+    config = state.config
+    return (Fraction(lv.dim, state.group(lv.index - 1).order),
+            Fraction(config.d - 1) * (1 - config.epsilon))
+
+
 def betti_checks(state: TowerState) -> list:
     """The mod-p homology ratio dim V_{k+1} / |G_k| against (d-1)(1-eps).
 
     The same ratio lower-bounds the rank gradient along the tower, since
     the kernel of the projection onto G_k surjects onto V_{k+1}.
     """
-    config = state.config
     out = []
-    threshold = Fraction(config.d - 1) * (1 - config.epsilon)
     for lv in state.levels[1:]:
-        below = state.group(lv.index - 1)
-        ratio = Fraction(lv.dim, below.order)
-        ok = ratio >= threshold
+        ratio, threshold = betti_ratio(state, lv)
         bad = NOT_GUARANTEED if lv.relaxed_used else FAIL
         out.append(CheckResult(
             f"tower.betti-ratio.level{lv.index}",
-            PASS if ok else bad,
+            PASS if ratio >= threshold else bad,
             f"dim V_{lv.index}/|G_{lv.index - 1}| = {ratio} >= (d-1)(1-eps) = "
             f"{threshold}; rank-gradient lower bound d(N)/[G:N] >= {ratio}"))
     return out
 
 
-def build(config: TowerConfig) -> tuple:
-    """Drive a tower to the configured depth or the feasibility boundary."""
-    state = init_tower(config)
-    while state.depth < config.depth:
+def grow(state: TowerState):
+    """Step until the configured depth or a FeasibilityStop, then add the
+    tower-wide torsion-shadow and Betti checks.  Build and extend both
+    drive their towers through this function."""
+    while state.depth < state.config.depth:
         try:
             step(state)
         except FeasibilityStop as stop:
@@ -499,6 +563,12 @@ def build(config: TowerConfig) -> tuple:
     if state.depth >= 2:
         state.checks.append(torsion_shadow_check(state))
     state.checks.extend(betti_checks(state))
+
+
+def build(config: TowerConfig) -> tuple:
+    """Drive a tower to the configured depth or the feasibility boundary."""
+    state = init_tower(config)
+    grow(state)
     cert = Certificate(meta={
         "tool": "jitower",
         "format": FORMAT_VERSION,
@@ -524,14 +594,9 @@ def _vec_str(vec: np.ndarray) -> str:
 
 
 def _vec_parse(s: str, p: int, n: int) -> np.ndarray:
-    if len(s) != n:
-        raise LoadError(f"vector of length {len(s)}, expected {n}")
-    try:
-        out = np.array([DIGITS.index(c) for c in s], dtype=np.int64)
-    except ValueError as exc:
-        raise LoadError(f"bad digit in vector: {exc}") from None
-    if np.any(out >= p):
-        raise LoadError(f"digit out of range for base {p}")
+    out = np.array([DIGITS.index(c) for c in s], dtype=np.int64)
+    if len(out) != n or np.any(out >= p):
+        raise ValueError(f"not a vector of length {n} in base {p}")
     return out
 
 
@@ -541,21 +606,24 @@ def save_tower(state: TowerState, path):
         fh.write("\n".join(lines) + "\n")
 
 
+def _frozen_str(entry: tuple) -> str:
+    w, order, lvl = entry
+    return f"{order} {lvl} " + (" ".join(map(str, w.letters)) or "-")
+
+
+def _frozen_parse(text: str, d: int) -> tuple:
+    order, lvl, *letters = text.split()
+    w = Word.make([int(x) for x in letters if x != "-"], rank=d)
+    if 0 in w.letters:
+        raise ValueError("letter 0")
+    return w, int(order), int(lvl)
+
+
 def serialize_tower(state: TowerState) -> list:
     config = state.config
     lines = [f"{MAGIC} {FORMAT_VERSION}"]
-    lines.append(f"d {config.d}")
-    lines.append(f"epsilon {config.epsilon.numerator}/{config.epsilon.denominator}")
-    lines.append("primes " + " ".join(str(p) for p in config.primes))
-    lines.append(f"budget {config.budget.scale} {config.budget.base}")
-    lines.append(f"mode {config.mode}")
-    lines.append(f"force_hlist {int(config.force_hlist)}")
-    lines.append(f"test_budget {int(config.test_budget)}")
-    lines.append(f"enum_cap {config.enum_cap}")
-    lines.append(f"submodule_guard {config.submodule_guard}")
-    lines.append(f"scan_cap {config.scan_cap}")
-    lines.append(f"torsion_scan_len {config.torsion_scan_len}")
-    lines.append(f"depth {config.depth}")
+    lines += [f"{key} {render(getattr(config, key))}"
+              for key, _, render in CONFIG_FIELDS]
     lines.append(f"truncated {int(state.truncated)}")
     if state.seed.order == 1:
         lines.append("seed trivial")
@@ -565,10 +633,8 @@ def serialize_tower(state: TowerState) -> list:
             lines.append("row " + " ".join(str(int(x)) for x in row))
         lines.append("seedgens " + " ".join(str(g) for g in state.seed._gen_idx))
     lines.append(f"ledger {len(state.ledger)}")
-    for w, (order, lvl) in sorted(state.ledger.items(),
-                                  key=lambda kv: (len(kv[0]), kv[0].letters)):
-        letters = " ".join(str(x) for x in w.letters) if w.letters else "-"
-        lines.append(f"frozen {order} {lvl} {letters}")
+    for w, (order, lvl) in sorted_ledger(state):
+        lines.append("frozen " + _frozen_str((w, order, lvl)))
     lines.append(f"levels {state.depth}")
     for lv in state.levels:
         lines.append(f"level {lv.index}")
@@ -578,7 +644,7 @@ def serialize_tower(state: TowerState) -> list:
         lines.append(f"vdim {lv.dim}")
         lines.append(f"r {lv.r}")
         lines.append(f"s {lv.s}")
-        lines.append(f"delta {lv.delta.numerator}/{lv.delta.denominator}")
+        lines.append(f"delta {_fraction_str(lv.delta)}")
         lines.append(f"hlist {int(lv.hlist_used)}")
         lines.append(f"relaxed {int(lv.relaxed_used)}")
         for row in lv.module.killed.basis:
@@ -595,14 +661,40 @@ class _Reader:
         self.lines = lines
         self.pos = 0
 
-    def next(self, key: str | None = None) -> list:
+    def next(self, key: str) -> list:
         if self.pos >= len(self.lines):
             raise LoadError("unexpected end of file")
         parts = self.lines[self.pos].split()
         self.pos += 1
-        if key is not None and (not parts or parts[0] != key):
+        if parts[0] != key:
             raise LoadError(f"expected {key!r} at line {self.pos}")
         return parts
+
+    def field(self, key: str, parse=int, render=str):
+        """The value of a ``key value`` line, whose text must be the
+        canonical rendering of the parsed value."""
+        text = " ".join(self.next(key)[1:])
+        try:
+            value = parse(text)
+        except ValueError as exc:
+            raise LoadError(f"line {self.pos}: bad {key} {text!r}: {exc}") from None
+        if render(value) != text:
+            raise LoadError(f"line {self.pos}: {key} {text!r} is not canonical")
+        return value
+
+
+def _load_seed(rd: _Reader, d: int) -> TableGroup:
+    seed_line = rd.next("seed")
+    if seed_line[1:] == ["trivial"]:
+        return TableGroup.trivial(d)
+    try:
+        if seed_line[1] != "table":
+            raise ValueError(f"unknown seed kind {seed_line[1]!r}")
+        rows = [[int(x) for x in rd.next("row")[1:]] for _ in range(int(seed_line[2]))]
+        gens = tuple(int(x) for x in rd.next("seedgens")[1:])
+        return TableGroup(np.array(rows, dtype=np.int64), gens=gens, name="seed")
+    except (ValueError, IndexError) as exc:
+        raise LoadError(f"bad seed table: {exc}") from None
 
 
 def load_tower(path) -> TowerState:
@@ -612,134 +704,94 @@ def load_tower(path) -> TowerState:
     head = rd.next(MAGIC)
     if len(head) != 2 or head[1] != str(FORMAT_VERSION):
         raise LoadError(f"unsupported format version in header {head}")
-    try:
-        d = int(rd.next("d")[1])
-        num, den = rd.next("epsilon")[1].split("/")
-        epsilon = Fraction(int(num), int(den))
-        primes = tuple(int(x) for x in rd.next("primes")[1:])
-        ba, bb = (int(x) for x in rd.next("budget")[1:])
-        mode = rd.next("mode")[1]
-        force_hlist = bool(int(rd.next("force_hlist")[1]))
-        test_budget = bool(int(rd.next("test_budget")[1]))
-        enum_cap = int(rd.next("enum_cap")[1])
-        submodule_guard = int(rd.next("submodule_guard")[1])
-        scan_cap = int(rd.next("scan_cap")[1])
-        torsion_scan_len = int(rd.next("torsion_scan_len")[1])
-        depth = int(rd.next("depth")[1])
-        truncated = bool(int(rd.next("truncated")[1]))
-    except (ValueError, IndexError) as exc:
-        raise LoadError(f"malformed header: {exc}") from None
-
-    seed_line = rd.next("seed")
-    if seed_line[1] == "trivial":
-        seed = TableGroup.trivial(d)
-    elif seed_line[1] == "table":
-        n = int(seed_line[2])
-        rows = [[int(x) for x in rd.next("row")[1:]] for _ in range(n)]
-        gens = tuple(int(x) for x in rd.next("seedgens")[1:])
-        try:
-            seed = TableGroup(np.array(rows, dtype=np.int64), gens=gens, name="seed")
-        except ValueError as exc:
-            raise LoadError(f"bad seed table: {exc}") from None
-    else:
-        raise LoadError(f"unknown seed kind {seed_line[1]!r}")
-
-    config = TowerConfig(d=d, primes=primes, epsilon=epsilon,
-                         budget=OrderBudget(ba, bb), depth=depth,
-                         seed_path=None, mode=mode, force_hlist=force_hlist,
-                         test_budget=test_budget, enum_cap=enum_cap,
-                         submodule_guard=submodule_guard, scan_cap=scan_cap,
-                         torsion_scan_len=torsion_scan_len)
+    config = TowerConfig(**{key: rd.field(key, parse, render)
+                            for key, parse, render in CONFIG_FIELDS})
+    truncated = rd.field("truncated", _flag, _flag_str)
+    seed = _load_seed(rd, config.d)
     try:
         config.validate(seed)
     except ValueError as exc:
         raise LoadError(f"invalid configuration: {exc}") from None
     state = TowerState(config, seed, truncated=truncated)
-    state.seed = seed
 
-    n_ledger = int(rd.next("ledger")[1])
-    for _ in range(n_ledger):
-        parts = rd.next("frozen")
-        order, lvl = int(parts[1]), int(parts[2])
-        letters = [] if parts[3] == "-" else [int(x) for x in parts[3:]]
-        state.ledger[Word.make(letters, rank=d)] = (order, lvl)
-
-    n_levels = int(rd.next("levels")[1])
-    if not 1 <= n_levels <= len(primes):
-        raise LoadError(f"level count {n_levels} out of range")
+    n_frozen = rd.field("ledger")
+    frozen = [rd.field("frozen", lambda t: _frozen_parse(t, config.d), _frozen_str)
+              for _ in range(n_frozen)]
+    state.ledger = {w: (order, lvl) for w, order, lvl in frozen}
+    if len(state.ledger) != n_frozen:
+        raise LoadError(f"ledger of {n_frozen} words lists {len(state.ledger)} distinct ones")
+    n_levels = rd.field("levels")
+    if not 1 <= n_levels <= config.depth:
+        raise LoadError(f"level count {n_levels} outside 1..depth {config.depth}")
     for li in range(1, n_levels + 1):
         state.levels.append(_load_level(rd, state, li))
+    if rd.next("end") != ["end"] or rd.pos != len(lines):
+        raise LoadError("content after the end marker")
 
-    if rd.next()[0] != "end":
-        raise LoadError("missing end marker")
-
-    # frozen orders must hold at the top of the loaded tower
-    for w, (order, _) in state.ledger.items():
-        now = state.top.element_order(state.pi(w, state.depth))
-        if now != order:
-            raise LoadError(
-                f"ledger violation: {w} has order {now}, frozen as {order}")
+    # a word frozen at level k outran its budget in G_k and keeps its order
+    for w, order, lvl, now in ledger_at_top(state):
+        if now != order or not 1 <= lvl < state.depth or order <= config.budget.of(w):
+            raise LoadError(f"ledger violation: {w} has order {now} at the top, "
+                            f"frozen as {order} at level {lvl}")
     return state
 
 
 def _load_level(rd: _Reader, state: TowerState, li: int) -> Level:
+    """Read level ``li``.  Its module is re-derived from the stored killed
+    basis, and r, s, delta, hlist and relaxed from the ledger and the
+    config, except that delta is only bounded above when s > 0, because
+    the closure-list term of the margin is not recomputed."""
     config = state.config
-    if int(rd.next("level")[1]) != li:
+    if rd.field("level") != li:
         raise LoadError(f"levels out of order at {li}")
-    p = int(rd.next("prime")[1])
+    p = rd.field("prime")
     if p != config.primes[li - 1]:
         raise LoadError(f"level {li} prime {p} != configured {config.primes[li - 1]}")
     field = PrimeField(p)
-    ambient = int(rd.next("ambient")[1])
-    sdim = int(rd.next("sdim")[1])
-    vdim = int(rd.next("vdim")[1])
-    r = int(rd.next("r")[1])
-    s = int(rd.next("s")[1])
-    num, den = rd.next("delta")[1].split("/")
-    delta = Fraction(int(num), int(den))
-    hlist_used = bool(int(rd.next("hlist")[1]))
-    relaxed_used = bool(int(rd.next("relaxed")[1]))
+    ambient, sdim, vdim, r, s = (rd.field(key) for key in
+                                 ("ambient", "sdim", "vdim", "r", "s"))
+    delta = rd.field("delta", _fraction, _fraction_str)
+    hlist_used = rd.field("hlist", _flag, _flag_str)
+    relaxed_used = rd.field("relaxed", _flag, _flag_str)
 
     below = state.group(li - 1)
     if ambient != config.d * below.order:
         raise LoadError(f"level {li} ambient {ambient} != d*|G| = "
                         f"{config.d * below.order}")
-    srows = np.array([_vec_parse(rd.next("srow")[1], p, ambient)
-                      for _ in range(sdim)], dtype=np.int64).reshape(sdim, ambient)
-    gen_vecs = np.array([_vec_parse(rd.next("gen")[1], p, ambient)
-                         for _ in range(config.d)], dtype=np.int64)
-    section_vec = _vec_parse(rd.next("section")[1], p, ambient)
+    hlist = config.closure_list(li)
+    orders = [order for order, lvl in state.ledger.values() if lvl < li]
+    margin = compute_delta(below, config.d, orders, ())
+    if (hlist_used, r) != (hlist, len(orders)) or s < 0 or (s > 0 and not hlist) \
+            or not (delta == margin if s == 0 else delta < margin):
+        raise LoadError(
+            f"level {li}: stored hlist, r, s or delta disagree with the ones "
+            f"derived (hlist {int(hlist)}, r {len(orders)}, "
+            f"delta {'=' if s == 0 else '<'} {margin})")
 
+    def vectors(key, count):
+        return np.array([rd.field(key, lambda t: _vec_parse(t, p, ambient), _vec_str)
+                         for _ in range(count)], dtype=np.int64).reshape(-1, ambient)
+
+    srows = vectors("srow", sdim)
+    gen_vecs = vectors("gen", config.d)
+    section_vec = vectors("section", 1)[0]
     killed = Subspace.span(field, ambient, srows)
     if killed.dim != sdim or not np.array_equal(killed.basis, srows):
         raise LoadError(f"level {li}: stored basis is not in canonical reduced form")
 
-    if li == 1 and state.seed.order > 1:
-        expected = GModule.trivial(field, state.seed, config.d)
-        if expected.killed != killed:
-            raise LoadError("level 1: killed subspace does not match the "
-                            "trivial-action convention for a nontrivial seed")
-        module, rel = expected, None
-        want = module.killed.reduce(np.eye(config.d * state.seed.order,
-                                           dtype=np.int64)[
-            [j * state.seed.order for j in range(config.d)]])
-        if not np.array_equal(gen_vecs, want):
-            raise LoadError("level 1: generator decorations are not canonical")
-        if np.any(section_vec):
-            raise LoadError("level 1: section vector must vanish")
+    if li == 1:
+        level = _first_level(config, state.seed)
+        if (level.module.killed != killed
+                or not np.array_equal(level.gen_vecs, gen_vecs)
+                or not np.array_equal(level.section_vec, section_vec)):
+            raise LoadError("level 1 is not the one its seed determines")
     else:
         try:
             rel = relation_module(below, below.generators, field)
-        except ValueError as exc:
-            raise LoadError(f"level {li}: {exc}") from None
-        for row in srows:
-            if np.any(rel.derivation(row)):
-                raise LoadError(
-                    f"level {li}: stored killed row is outside the boundary kernel")
-        try:
+            # raises unless the killed rows are a submodule of the boundary kernel
             module = rel.module.quotient(killed)
         except ValueError as exc:
-            raise LoadError(f"level {li}: killed subspace invalid: {exc}") from None
+            raise LoadError(f"level {li}: {exc}") from None
         if not np.array_equal(module.killed.reduce(gen_vecs), gen_vecs):
             raise LoadError(f"level {li}: generator decorations are not reduced")
         for i, g in enumerate(below.generators):
@@ -751,11 +803,15 @@ def _load_level(rd: _Reader, state: TowerState, li: int) -> Level:
         want[0] = (1 - below.order) % p
         if not np.array_equal(rel.derivation(section_vec), want % p):
             raise LoadError(f"level {li}: section vector fails its boundary identity")
-    if module.live_dim != vdim:
-        raise LoadError(f"level {li}: stored vdim {vdim} != computed "
-                        f"{module.live_dim}")
-    group = ExtensionGroup(module, gen_vecs=gen_vecs,
-                           gen_lowers=below.generators,
-                           section_vec=section_vec, name=f"level{li}")
-    return Level(li, field, rel, module, gen_vecs, section_vec, group,
-                 delta, r, s, hlist_used, relaxed_used)
+        group = ExtensionGroup(module, gen_vecs=gen_vecs,
+                               gen_lowers=below.generators,
+                               section_vec=section_vec, name=f"level{li}")
+        level = Level(li, field, rel, module, gen_vecs, section_vec, group,
+                      delta, r, s, hlist_used, False)
+        level.relaxed_used = any(g.status != PASS for g in gate_checks(state, level))
+    if level.dim != vdim:
+        raise LoadError(f"level {li}: stored vdim {vdim} != computed {level.dim}")
+    if level.relaxed_used != relaxed_used:
+        raise LoadError(f"level {li}: relaxed {int(relaxed_used)} disagrees "
+                        "with its margin and dimension gates")
+    return level

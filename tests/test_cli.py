@@ -144,3 +144,36 @@ def test_build_truncates_at_enum_cap(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "truncated" in out
     assert "depth 2" in out
+
+
+def test_unknown_config_key_exits_two(tmp_path, capsys):
+    cfg = write_config(tmp_path / "bad.cfg", depht=1)
+    out = tmp_path / "x.twr"
+    assert main(["build", "--config", cfg, "--out", str(out)]) == 2
+    assert "depht" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_out_in_missing_directory_exits_two(tmp_path, capsys):
+    cfg = write_config(tmp_path / "t.cfg", depth=3)
+    out = tmp_path / "missing" / "x.twr"
+    assert main(["build", "--config", cfg, "--out", str(out)]) == 2
+    assert "missing" in capsys.readouterr().err
+    # an invalid config is still reported as such, and writes nothing
+    cfg = write_config(tmp_path / "bad.cfg", primes="37", depth=1)
+    assert main(["build", "--config", cfg, "--out", str(out)]) == 2
+    assert "prime 37" in capsys.readouterr().err
+
+
+def test_extend_below_current_depth_exits_two(tmp_path, capsys):
+    cfg = write_config(tmp_path / "t.cfg", depth=2)
+    tower = tmp_path / "t.twr"
+    main(["build", "--config", cfg, "--out", str(tower)])
+    before = tower.read_bytes()
+    capsys.readouterr()
+    assert main(["extend", "--tower", str(tower), "--depth", "1"]) == 2
+    assert "below" in capsys.readouterr().err
+    assert tower.read_bytes() == before
+    assert main(["extend", "--tower", str(tower),
+                 "--out", str(tmp_path / "missing" / "x.twr")]) == 2
+    capsys.readouterr()

@@ -1,0 +1,32 @@
+"""Tooling contracts: every function the benchmark traces still exists."""
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+
+
+def _targets() -> list:
+    """(span name, module, attribute) of each TARGETS entry, read without
+    importing the tracer."""
+    for node in ast.parse(SPANS.read_text()).body:
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", "") == "TARGETS":
+            return [tuple(ast.literal_eval(e) for e in entry.elts[:3])
+                    for entry in node.value.elts]
+    raise AssertionError(f"no TARGETS in {SPANS}")
+
+
+@pytest.mark.parametrize("target", _targets(), ids=lambda t: t[0])
+def test_span_target_resolves(target):
+    # the tracer wraps a method through its class __dict__, so a method must
+    # be defined on the named class itself
+    _, module, attr = target
+    obj = importlib.import_module(f"jitower.{module}")
+    *owners, name = attr.split(".")
+    for owner in owners:
+        obj = getattr(obj, owner)
+    assert not owners or name in vars(obj)
+    assert callable(getattr(obj, name))

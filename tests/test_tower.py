@@ -285,3 +285,87 @@ def test_forced_closure_list_on_trivial_seed(forced_hlist_tower):
     assert by_name["level3.margin"].status == "not-guaranteed"
     assert Fraction(lv3.dim) >= Fraction(1) * 324 * Fraction(5, 6)
     assert not [c for c in cert.checks if c.status == FAIL]
+
+
+@pytest.mark.parametrize("tower", ["default_tower", "budget_tower",
+                                   "forced_hlist_tower", "seeded_hlist_tower"])
+def test_load_rederives_stored_level_fields(tower, request, tmp_path):
+    # the loader recomputes r, s, delta, hlist and relaxed and raises on any
+    # disagreement, so a clean load shows the derivations match the build
+    state, _ = request.getfixturevalue(tower)
+    path = tmp_path / "t.twr"
+    save_tower(state, path)
+    reloaded = load_tower(path)
+    assert serialize_tower(reloaded) == serialize_tower(state)
+    assert [(lv.r, lv.s, lv.delta, lv.hlist_used, lv.relaxed_used)
+            for lv in reloaded.levels] == \
+        [(lv.r, lv.s, lv.delta, lv.hlist_used, lv.relaxed_used)
+         for lv in state.levels]
+
+
+def _replace_last(text: str, old: str, new: str) -> str:
+    head, sep, tail = text.rpartition(old + "\n")
+    assert sep, f"no line {old!r}"
+    return head + new + "\n" + tail
+
+
+@pytest.mark.parametrize("old,new", [
+    ("hlist 0", "hlist 1"),          # would turn rigidity.level3 into a fail
+    ("delta 1/1", "delta 1/2"),      # would verify as overall: pass
+    ("relaxed 0", "relaxed 1"),
+    ("r 0", "r 7"),
+])
+def test_load_rejects_tampered_level3_field(default_tower, tmp_path, capsys,
+                                            old, new):
+    from jitower.cli import main
+    state, _ = default_tower
+    path = tmp_path / "t.twr"
+    save_tower(state, path)
+    path.write_text(_replace_last(path.read_text(), old, new))
+    with pytest.raises(LoadError):
+        load_tower(path)
+    assert main(["verify", "--tower", str(path)]) == 2
+    assert "load error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("old,new", [
+    ("force_hlist 0", "force_hlist -1"),
+    ("force_hlist 0", "force_hlist false"),
+    ("primes 2 3 5", "primes 2,3,5"),
+    ("epsilon 1/10", "epsilon 2/20"),
+    ("depth 3", "depth 2"),          # fewer than the 3 stored levels
+    ("end", "end\nlevel 4"),         # content after the end marker
+])
+def test_load_rejects_noncanonical_header_and_trailing_content(
+        default_tower, tmp_path, old, new):
+    state, _ = default_tower
+    path = tmp_path / "t.twr"
+    save_tower(state, path)
+    path.write_text(_replace_last(path.read_text(), old, new))
+    with pytest.raises(LoadError):
+        load_tower(path)
+
+
+def test_load_mutation_sweep_raises_only_load_error(tmp_path):
+    # every line of a depth-2 tower file deleted, cut to its key, or with
+    # its last token replaced: each mutant loads cleanly or raises LoadError
+    state, _ = build(TowerConfig(depth=2))
+    path = tmp_path / "t.twr"
+    save_tower(state, path)
+    lines = path.read_text().split("\n")[:-1]
+    mutants = []
+    for i, line in enumerate(lines):
+        tokens = line.split()
+        edits = [[]] + [[" ".join(tokens[:-1] + [v])]
+                        for v in ("x", "-1", "1/0", "0", "99")] + [[tokens[0]]]
+        mutants += [lines[:i] + edit + lines[i + 1:] for edit in edits]
+    assert len(mutants) == 7 * len(lines)
+    bad = tmp_path / "bad.twr"
+    rejected = 0
+    for mutant in mutants:
+        bad.write_text("\n".join(mutant) + "\n")
+        try:
+            load_tower(bad)
+        except LoadError:
+            rejected += 1
+    assert rejected > len(mutants) // 2
