@@ -3,8 +3,9 @@
 Configuration is a flat key=value file; reports are JSON documents with a
 stable key order and exact rationals rendered as "num/den", so identical
 inputs produce byte-identical outputs.  Exit codes: 0 all checks pass
-(possibly with sampled / not-guaranteed qualifiers), 1 some check failed,
-2 the configuration or tower file was unusable.
+(possibly with sampled / not-guaranteed qualifiers), 1 some check failed
+or a strict-mode build stopped at a failed gate (``build error:``, no
+tower file written), 2 the configuration or tower file was unusable.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import os
 import sys
 
 from .certificate import Certificate, CheckResult, FAIL, PASS
+from .forge import BuildError
 from .groups import CapExceeded
 # step is not called here, but bench/test_bench.py checks that the tracer
 # rebinds this module's step
@@ -221,7 +223,7 @@ def cmd_normals(args) -> int:
     state = load_tower(args.tower)
     from .analysis import growth_report, tower_chain
     level = args.level if args.level is not None else _max_enumerable_level(state)
-    if level > state.depth or not state.group(level).is_enumerable(
+    if not 0 <= level <= state.depth or not state.group(level).is_enumerable(
             state.config.enum_cap):
         print(f"level {level} is not enumerable", file=sys.stderr)
         return 2
@@ -316,6 +318,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except BuildError as exc:
+        print(f"build error: {exc}", file=sys.stderr)
+        return 1
     except (LoadError, OSError) as exc:
         kind = "load error" if isinstance(exc, LoadError) else "file error"
         print(f"{kind}: {exc}", file=sys.stderr)

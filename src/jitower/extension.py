@@ -5,6 +5,12 @@ vector of the top level and ``lower`` an element of the base group, with
 multiplication (u, g)(w, h) = (u + g.w, gh).  The identity has all-zero
 coordinates and the inverse of (u, g) is (-g^-1.u, g^-1).
 
+Orders need no powering.  For x = (v, g) with k = ord(g) in the base,
+x^k = (N_g v, 1) with the norm element N_g = 1 + g + ... + g^(k-1), and a
+nonzero module element has order p.  So ord x is k when N_g v lies in the
+killed space and k*p otherwise; ord g comes from the base group the same
+way, down to the table group at the bottom.
+
 A group may carry a section vector A; the section
 ``sigma(g) = ((1 - g).A / |G|, g)`` is then a group homomorphism from the
 base into the extension, and ``vpart`` converts an element into split
@@ -19,13 +25,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .groups import CapExceeded, DEFAULT_ENUM_CAP, GroupHandle, _BaseElement
+from .groups import CapExceeded, DEFAULT_ENUM_CAP, GroupHandle
 from .gmodule import GModule
 
 __all__ = ["ExtElement", "ExtensionGroup"]
 
 
-class ExtElement(_BaseElement):
+class ExtElement:
     __slots__ = ("group", "vec", "lower", "_hash")
 
     def __init__(self, group: "ExtensionGroup", vec: np.ndarray, lower):
@@ -112,6 +118,13 @@ class ExtensionGroup(GroupHandle):
     def exponent(self) -> int:
         p = self.field.p
         return self.lower.exponent() * (p if self.module.live_dim else 1)
+
+    def _order(self, a: ExtElement) -> int:
+        """k = ord(a.lower), times p unless the norm element N_g v is killed
+        (see the module docstring)."""
+        k = self.lower.element_order(a.lower)
+        norm = self.module.orbit_sum(a.lower, a.vec, k)
+        return k if self.module.killed.contains(norm) else k * self.field.p
 
     def section(self, g_lower) -> ExtElement:
         """The homomorphic section of the base group into this extension."""

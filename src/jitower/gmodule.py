@@ -134,6 +134,16 @@ class GModule:
         """Module action: permute coordinates, then reduce mod the killed subspace."""
         return self.killed.reduce(self.act_raw(g, v))
 
+    def orbit_sum(self, g, v, k: int) -> np.ndarray:
+        """(1 + g + ... + g^(k-1)).v on raw ambient rows, mod p but not mod
+        killed; with k = ord(g) this is the norm element N_g applied to v."""
+        gather = self._gather_index(self._g_index(g))
+        acc = cur = np.asarray(v, dtype=np.int64)
+        for _ in range(k - 1):
+            cur = cur[..., gather]
+            acc = acc + cur
+        return acc % self.field.p
+
     def action_matrix(self, g) -> np.ndarray:
         """Action of g on live coordinates: row i holds the coefficients of
         act(g, live_basis[i]) with respect to the live basis."""

@@ -2,6 +2,9 @@
 
 Every enumerable group exposes a deterministic element order, an index map,
 and a full multiplication table (numpy, ``table[i, j] = index of e_i * e_j``).
+Element orders come from the group's structure, never from powering: a
+table group walks each element's cycle once, and a split extension reads
+the order off the lower level and one norm element (see ``extension``).
 The index-based helpers at the bottom implement subgroup closure, normal
 closure, normalizers and full subgroup lattices directly on such tables.
 """
@@ -18,7 +21,6 @@ __all__ = [
     "TableElement",
     "TableGroup",
     "word_image",
-    "prime_factors",
     "closure_indices",
     "normal_closure_indices",
     "product_set_indices",
@@ -34,68 +36,21 @@ class CapExceeded(RuntimeError):
     """An enumeration or lattice guard was hit."""
 
 
-def prime_factors(n: int) -> tuple:
-    """Distinct prime factors of n, ascending (trial division)."""
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return tuple(out)
-
-
-class _BaseElement:
-    """Shared element behaviour; subclasses define __mul__ and inverse()."""
-
-    __slots__ = ()
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = self.group.identity
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
-
-    def order(self, cap: int | None = None):
-        return self.group.element_order(self, cap)
-
-
 class GroupHandle:
-    """Common interface for finite groups with a designated generating tuple."""
+    """Common interface for finite groups with a designated generating tuple.
+
+    Subclasses set ``order``, ``generators`` and ``identity`` and define
+    ``exponent()``, ``elements()``, ``index_of()``, ``mult_table()``,
+    ``inverse_table()``, ``random_element()`` and ``_order(a)``, the
+    structural order of one element.
+    """
 
     kind = "abstract"
     name = ""
 
-    # subclasses set: order, generators, identity, exponent(), elements(),
-    # index_of(), mult_table(), inverse_table(), random_element()
-
-    def element_order(self, a, cap: int | None = None):
-        """Order of ``a``; None when it exceeds ``cap``.
-
-        Computed by refining the group exponent along its prime factors, so
-        the cost is logarithmic in the exponent rather than linear in the
-        order.
-        """
-        e = self.exponent()
-        identity = self.identity
-        o = e
-        for q in prime_factors(e):
-            while o % q == 0 and a ** (o // q) == identity:
-                o //= q
-        if cap is not None and o > cap:
-            return None
-        return o
+    def element_order(self, a) -> int:
+        """Order of ``a``, from the group kind's ``_order``."""
+        return self._order(a)
 
     def is_enumerable(self, cap: int = DEFAULT_ENUM_CAP) -> bool:
         return self.order <= cap
@@ -126,7 +81,7 @@ class GroupHandle:
         return f"<{type(self).__name__} {label} order={self.order}>"
 
 
-class TableElement(_BaseElement):
+class TableElement:
     __slots__ = ("group", "idx")
 
     def __init__(self, group: "TableGroup", idx: int):
@@ -186,7 +141,7 @@ class TableGroup(GroupHandle):
         self._gen_idx = gens
         self.generators = tuple(TableElement(self, g) for g in gens)
         self._elements = None
-        self._exponent = None
+        self._orders = None
 
     @staticmethod
     def _validate(t, n):
@@ -239,17 +194,26 @@ class TableGroup(GroupHandle):
     def inverse_table(self) -> np.ndarray:
         return self._inv
 
+    def _element_orders(self) -> np.ndarray:
+        """Order of every element by index, from one cycle walk over the
+        table: all elements are powered together until each reaches 1."""
+        if self._orders is None:
+            power = np.arange(self.order)
+            orders = np.ones(self.order, dtype=np.int64)
+            running = np.flatnonzero(power)
+            while running.size:
+                power[running] = self.table[power[running], running]
+                orders[running] += 1
+                running = running[power[running] != 0]
+            orders.setflags(write=False)
+            self._orders = orders
+        return self._orders
+
+    def _order(self, a: TableElement) -> int:
+        return int(self._element_orders()[self.index_of(a)])
+
     def exponent(self) -> int:
-        if self._exponent is None:
-            exp = 1
-            for i in range(self.order):
-                x, o = self.table[0, i], 1
-                while x != 0:
-                    x = self.table[x, i]
-                    o += 1
-                exp = math.lcm(exp, o)
-            self._exponent = exp
-        return self._exponent
+        return math.lcm(*self._element_orders().tolist())
 
     def random_element(self, rng) -> TableElement:
         return TableElement(self, rng.randrange(self.order))

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gmodule import GModule
-from .groups import CapExceeded, GroupHandle, closure_indices
+from .groups import GroupHandle, closure_indices
 from .linalg import PrimeField, Subspace, kernel_basis, rref
 from .words import Word, fox_vector
 
@@ -182,8 +182,7 @@ def gaschuetz_check(rel: RelationModule, subgroup_sets=None) -> list:
     return out
 
 
-def relator_power_image(word: Word, rel: RelationModule,
-                        order_cap: int | None = None) -> np.ndarray:
+def relator_power_image(word: Word, rel: RelationModule) -> np.ndarray:
     """The fox vector of word**k where k = ord(image of word).
 
     The result always lies in the boundary kernel.  Computed as the orbit
@@ -192,13 +191,4 @@ def relator_power_image(word: Word, rel: RelationModule,
     expansions.
     """
     vec, g = magnus_pair(word, rel)
-    k = rel.group.element_order(g, order_cap)
-    if k is None:
-        raise CapExceeded(f"order of the word image exceeds the cap {order_cap}")
-    acc = vec.copy()
-    cur = vec
-    gi = rel.group.index_of(g)
-    for _ in range(k - 1):
-        cur = rel.module.act_raw(gi, cur)
-        acc = (acc + cur) % rel.field.p
-    return acc
+    return rel.module.orbit_sum(g, vec, rel.group.element_order(g))

@@ -34,7 +34,7 @@ from .gmodule import GModule
 from .groups import CapExceeded, TableGroup, word_image
 from .linalg import PrimeField, Subspace
 from .relmod import RelationModule, relation_module
-from .words import OrderBudget, Word, enumerate_words
+from .words import OrderBudget, Word, enumerate_words, word_count
 
 __all__ = [
     "TowerConfig",
@@ -169,6 +169,15 @@ class TowerConfig:
         if len(seed.generators) != self.d:
             raise ValueError(
                 f"seed designates {len(seed.generators)} generators, need d = {self.d}")
+        for key in ("enum_cap", "submodule_guard", "scan_cap"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be at least 1")
+        if self.torsion_scan_len < 0:
+            raise ValueError("torsion_scan_len must be nonnegative")
+        scan = sum(word_count(self.d, n) for n in range(self.torsion_scan_len + 1))
+        if scan > self.scan_cap:
+            raise ValueError(f"torsion scan of {scan} words exceeds scan_cap "
+                             f"{self.scan_cap}")
         if self.test_budget:
             self.budget.tail_sum(self.d)  # still must converge
         elif not self.budget.admissible(self.d, self.epsilon):

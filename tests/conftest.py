@@ -5,6 +5,43 @@ from jitower.tower import TowerConfig, build
 from jitower.words import OrderBudget
 
 
+def _prime_factors(n: int) -> tuple:
+    """Distinct prime factors of n, ascending (trial division)."""
+    out = []
+    q = 2
+    while q * q <= n:
+        if n % q == 0:
+            out.append(q)
+            while n % q == 0:
+                n //= q
+        q += 1
+    if n > 1:
+        out.append(n)
+    return tuple(out)
+
+
+def _power(a, n: int, identity):
+    out = identity
+    while n:
+        if n & 1:
+            out = out * a
+        n >>= 1
+        if n:
+            a = a * a
+    return out
+
+
+def refined_order(group, a) -> int:
+    """Reference element order by exponent refinement: start from the group
+    exponent and divide out each prime q while a^(o/q) is still 1, testing
+    candidates by binary powering.  The oracle for ``element_order``."""
+    o = group.exponent()
+    for q in _prime_factors(o):
+        while o % q == 0 and _power(a, o // q, group.identity) == group.identity:
+            o //= q
+    return o
+
+
 def c2():
     return TableGroup.cyclic(2, gens=(1, 1))
 

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from jitower.cli import main
 
 
@@ -177,3 +179,49 @@ def test_extend_below_current_depth_exits_two(tmp_path, capsys):
     assert main(["extend", "--tower", str(tower),
                  "--out", str(tmp_path / "missing" / "x.twr")]) == 2
     capsys.readouterr()
+
+
+def test_strict_gate_failure_is_a_build_error(tmp_path, capsys):
+    # the test budget 4^len freezes four words by level 3, and their margin
+    # fails the strict gate: exit 1, a one-line message, no tower file
+    cfg = write_config(tmp_path / "t.cfg", depth=3, budget_scale=1,
+                       budget_base=4, test_budget=1)
+    out = tmp_path / "x.twr"
+    assert main(["build", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == ("build error: level3.margin fails in strict mode: "
+                   "delta = 1/3 vs 1 - eps = 9/10 (r=4, s=0)\n")
+    assert not out.exists()
+    # extend stops at the same gate and leaves its input as it was
+    assert main(["build", "--config", cfg, "--out", str(out), "--depth", "2"]) == 0
+    before = out.read_bytes()
+    capsys.readouterr()
+    assert main(["extend", "--tower", str(out), "--depth", "3"]) == 1
+    assert capsys.readouterr().err.startswith("build error: level3.margin")
+    assert out.read_bytes() == before
+
+
+@pytest.mark.parametrize("key,value", [
+    ("enum_cap", 0), ("submodule_guard", -1), ("scan_cap", -1),
+    ("torsion_scan_len", -1), ("torsion_scan_len", 99)])
+def test_bad_cap_exits_two_before_any_level(tmp_path, capsys, monkeypatch,
+                                            key, value):
+    import jitower.cli
+
+    def no_build(cfg):
+        raise AssertionError("a level was built")
+    monkeypatch.setattr(jitower.cli, "build", no_build)
+    cfg = write_config(tmp_path / "bad.cfg", **{key: value})
+    out = tmp_path / "x.twr"
+    assert main(["build", "--config", cfg, "--out", str(out)]) == 2
+    assert key.split("_")[0] in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_normals_negative_level_exits_two(tmp_path, capsys):
+    cfg = write_config(tmp_path / "t.cfg", depth=1)
+    tower = str(tmp_path / "t.twr")
+    main(["build", "--config", cfg, "--out", tower])
+    capsys.readouterr()
+    assert main(["normals", "--tower", tower, "--level", "-1"]) == 2
+    assert "level -1" in capsys.readouterr().err

@@ -3,18 +3,15 @@ import random
 import numpy as np
 import pytest
 
+from jitower.extension import ExtensionGroup
+from jitower.gmodule import GModule
 from jitower.groups import (CapExceeded, TableGroup, closure_indices,
                             is_normal_indices, normal_closure_indices,
-                            prime_factors, word_image)
-from jitower.words import Word
+                            word_image)
+from jitower.linalg import PrimeField, Subspace
+from jitower.words import Word, enumerate_words
 
-from conftest import c6, c22, s3
-
-
-def test_prime_factors():
-    assert prime_factors(1) == ()
-    assert prime_factors(12) == (2, 3)
-    assert prime_factors(30) == (2, 3, 5)
+from conftest import c2, c6, c22, refined_order, s3
 
 
 def test_cyclic_group_basics():
@@ -24,7 +21,6 @@ def test_cyclic_group_basics():
     assert g.element_order(g.element(1)) == 6
     assert g.element_order(g.element(2)) == 3
     assert g.element_order(g.identity) == 1
-    assert g.element_order(g.element(1), cap=3) is None
 
 
 def test_group_axioms_random():
@@ -41,6 +37,49 @@ def test_element_order_divides_group_order():
     g = s3()
     for e in g.elements():
         assert g.order % g.element_order(e) == 0
+
+
+def test_exponent_is_lcm_of_element_orders():
+    for g in (s3(), c6(), c22(), TableGroup.symmetric(4), TableGroup.trivial()):
+        orders = [g.element_order(e) for e in g.elements()]
+        assert orders == [refined_order(g, e) for e in g.elements()]
+        assert g.exponent() == np.lcm.reduce(orders)
+
+
+def test_element_order_norm_rule_both_outcomes():
+    # (v, g) has order k = ord(g) when N_g v is killed and k*p otherwise:
+    # F_3[C2] with nothing killed, and F_5[S3] modulo its norm line
+    rng = random.Random(5)
+    for group, p, kill_norm in ((c2(), 3, False), (s3(), 5, True)):
+        field = PrimeField(p)
+        mod = GModule(field, group, 1)
+        if kill_norm:
+            mod = mod.quotient(Subspace.span(field, mod.ambient_dim,
+                                             mod.norm_vector().reshape(1, -1)))
+        ext = ExtensionGroup(mod, check=False)
+        elements = [ext.random_element(rng) for _ in range(300)]
+        seen = set()
+        for e in elements:
+            o, k = ext.element_order(e), group.element_order(e.lower)
+            assert o == refined_order(ext, e), (group.name, e)
+            seen.add(o == k)
+        assert seen == {True, False}, group.name
+
+
+@pytest.mark.parametrize("tower", ["default_tower", "budget_tower",
+                                   "forced_hlist_tower", "seeded_hlist_tower"])
+def test_element_order_matches_refinement_on_fixture_towers(tower, request):
+    # the oracle runs once per distinct image, the fast path once per word
+    state, _ = request.getfixturevalue(tower)
+    words = enumerate_words(state.config.d, 6)
+    for k in range(state.depth + 1):
+        group = state.group(k)
+        want = {}
+        for w in words:
+            a = state.pi(w, k)
+            if a not in want:
+                want[a] = refined_order(group, a)
+            assert group.element_order(a) == want[a], (tower, k, w)
 
 
 def test_table_validation_rejects_bad_tables():

@@ -1,7 +1,9 @@
-"""Tooling contracts: every function the benchmark traces still exists."""
+"""Tooling contracts: every function the benchmark traces still exists,
+and every exported name resolves."""
 
 import ast
 import importlib
+import pkgutil
 from pathlib import Path
 
 import pytest
@@ -30,3 +32,12 @@ def test_span_target_resolves(target):
         obj = getattr(obj, owner)
     assert not owners or name in vars(obj)
     assert callable(getattr(obj, name))
+
+
+@pytest.mark.parametrize("module", [m.name for m in pkgutil.iter_modules(
+    importlib.import_module("jitower").__path__)])
+def test_all_exports_resolve(module):
+    # a deleted function must not leave a stale __all__ entry behind
+    mod = importlib.import_module(f"jitower.{module}")
+    missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
+    assert not missing

@@ -346,6 +346,21 @@ def test_load_rejects_noncanonical_header_and_trailing_content(
         load_tower(path)
 
 
+@pytest.mark.parametrize("old,new", [
+    ("torsion_scan_len 6", "torsion_scan_len 99"),   # about 2*3^99 words
+    ("scan_cap 200000", "scan_cap -1"),
+    ("enum_cap 1000000", "enum_cap 0"),
+    ("submodule_guard 100000", "submodule_guard -1"),
+])
+def test_load_rejects_tampered_cap(default_tower, tmp_path, old, new):
+    state, _ = default_tower
+    path = tmp_path / "t.twr"
+    save_tower(state, path)
+    path.write_text(_replace_last(path.read_text(), old, new))
+    with pytest.raises(LoadError):
+        load_tower(path)
+
+
 def test_load_mutation_sweep_raises_only_load_error(tmp_path):
     # every line of a depth-2 tower file deleted, cut to its key, or with
     # its last token replaced: each mutant loads cleanly or raises LoadError
