@@ -220,6 +220,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_normals(args) -> int:
+    if args.max_index is not None and args.max_index < 1:
+        print(f"--max-index {args.max_index} is below 1", file=sys.stderr)
+        return 2
     state = load_tower(args.tower)
     from .analysis import growth_report, tower_chain
     level = args.level if args.level is not None else _max_enumerable_level(state)

@@ -15,12 +15,15 @@ import math
 
 import numpy as np
 
+from .words import Word
+
 __all__ = [
     "CapExceeded",
     "GroupHandle",
     "TableElement",
     "TableGroup",
     "word_image",
+    "word_images",
     "closure_indices",
     "normal_closure_indices",
     "product_set_indices",
@@ -302,6 +305,22 @@ def word_image(word, generators, identity):
         g = generators[abs(x) - 1]
         out = out * (g if x > 0 else g.inverse())
     return out
+
+
+def word_images(generators, identity, max_len):
+    """(word, image) for every reduced word of length <= max_len, depth first
+    over the word trie in the alphabet order of ``words``: a child's image is
+    its parent's times one letter, and only the current path is alive."""
+    steps = [(s * i, g if s > 0 else g.inverse())
+             for i, g in enumerate(generators, 1) for s in (1, -1)]
+
+    def walk(letters, image):
+        yield Word(letters), image
+        if len(letters) < max_len:
+            for x, g in steps:
+                if not letters or letters[-1] != -x:
+                    yield from walk(letters + (x,), image * g)
+    return walk((), identity)
 
 
 # index-based subgroup machinery

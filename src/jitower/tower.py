@@ -31,10 +31,10 @@ from .forge import (BuildError, ForgeInput, SubgroupData, build_module,
                     compute_delta, cyclic_subgroup_reps, splitting_vector,
                     verify_conclusions)
 from .gmodule import GModule
-from .groups import CapExceeded, TableGroup, word_image
+from .groups import TableGroup, word_image, word_images
 from .linalg import PrimeField, Subspace
 from .relmod import RelationModule, relation_module
-from .words import OrderBudget, Word, enumerate_words, word_count
+from .words import OrderBudget, Word, ball_size
 
 __all__ = [
     "TowerConfig",
@@ -174,7 +174,7 @@ class TowerConfig:
                 raise ValueError(f"{key} must be at least 1")
         if self.torsion_scan_len < 0:
             raise ValueError("torsion_scan_len must be nonnegative")
-        scan = sum(word_count(self.d, n) for n in range(self.torsion_scan_len + 1))
+        scan = ball_size(self.d, self.torsion_scan_len)
         if scan > self.scan_cap:
             raise ValueError(f"torsion scan of {scan} words exceeds scan_cap "
                              f"{self.scan_cap}")
@@ -283,8 +283,8 @@ def init_tower(config: TowerConfig) -> TowerState:
 
 
 def _scan_words(state: TowerState) -> list:
-    """Words whose budget value is below the current exponent and whose
-    order at the top level exceeds it; returns (word, order) pairs."""
+    """Words whose budget value is below the current exponent and whose top
+    order exceeds it, as (word, order) pairs in (length, lex) order."""
     config = state.config
     top = state.top
     exp = top.exponent()
@@ -292,21 +292,16 @@ def _scan_words(state: TowerState) -> list:
     max_len = 0
     while budget.of_length(max_len + 1) < exp:
         max_len += 1
-    if max_len == 0:
-        return []
-    words = enumerate_words(config.d, max_len)
-    if len(words) > config.scan_cap:
-        raise CapExceeded(
-            f"word scan of {len(words)} words exceeds the cap {config.scan_cap}")
+    size = ball_size(config.d, max_len)
+    if size > config.scan_cap:
+        raise FeasibilityStop(
+            f"word scan of {size} words exceeds scan_cap {config.scan_cap}")
     out = []
-    for w in words[1:]:
-        o = budget.of(w)
-        if o >= exp:
-            continue
-        order = top.element_order(word_image(w, top.generators, top.identity))
-        if order > o:
+    for w, image in word_images(top.generators, top.identity, max_len):
+        order = top.element_order(image)
+        if order > budget.of(w):
             out.append((w, order))
-    return out
+    return sorted(out, key=lambda pair: len(pair[0]))
 
 
 def sorted_ledger(state: TowerState) -> list:
@@ -514,22 +509,22 @@ def torsion_shadow_check(state: TowerState) -> CheckResult:
     config = state.config
     top = state.top
     exp = top.exponent()
-    ok = True
     worst = None
-    words = enumerate_words(config.d, config.torsion_scan_len)
-    for w in words:
-        order = top.element_order(state.pi(w, state.depth))
+    for w, image in word_images(top.generators, top.identity, config.torsion_scan_len):
+        order = top.element_order(image)
         bound = max(config.budget.of(w), state.ledger.get(w, (0, 0))[0])
-        if exp % order != 0 or order > bound:
-            ok = False
+        # preorder is lex within each length: keep the (length, lex)-last failure
+        if (exp % order != 0 or order > bound) and (
+                worst is None or len(w) >= len(worst["word"])):
             worst = {"word": list(w.letters), "order": order, "bound": bound}
     # an unfrozen word may legitimately outrun a test budget at the very top
     # level (the next step would freeze it); only conforming towers assert
     bad = FAIL if state.conforming() else NOT_GUARANTEED
     return CheckResult(
-        "tower.torsion-shadow", PASS if ok else bad,
-        f"{len(words)} words of length <= {config.torsion_scan_len}: order divides "
-        f"{exp} and stays within budget/frozen bounds", witness=worst)
+        "tower.torsion-shadow", PASS if worst is None else bad,
+        f"{ball_size(config.d, config.torsion_scan_len)} words of length <= "
+        f"{config.torsion_scan_len}: order divides {exp} and stays within "
+        "budget/frozen bounds", witness=worst)
 
 
 def betti_ratio(state: TowerState, lv: Level) -> tuple:

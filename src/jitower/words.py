@@ -17,6 +17,7 @@ __all__ = [
     "FormalSum",
     "enumerate_words",
     "word_count",
+    "ball_size",
     "fox_vector",
     "fox_eval",
     "fox_identity_defect",
@@ -75,20 +76,16 @@ class Word:
         return "Word(" + "*".join(parts) + ")"
 
 
-def _alphabet(rank: int):
-    # x1 < x1^-1 < x2 < x2^-1 < ...
-    out = []
-    for i in range(1, rank + 1):
-        out.append(i)
-        out.append(-i)
-    return out
-
-
 def word_count(rank: int, length: int) -> int:
     """Number of freely reduced words of exactly the given length."""
     if length == 0:
         return 1
     return 2 * rank * (2 * rank - 1) ** (length - 1)
+
+
+def ball_size(rank: int, max_len: int) -> int:
+    """Number of freely reduced words of length <= max_len."""
+    return sum(word_count(rank, n) for n in range(max_len + 1))
 
 
 def enumerate_words(rank: int, max_len: int) -> list:
@@ -97,7 +94,7 @@ def enumerate_words(rank: int, max_len: int) -> list:
         raise ValueError("rank must be at least 1")
     if max_len < 0:
         raise ValueError("max_len must be nonnegative")
-    alphabet = _alphabet(rank)
+    alphabet = [s * i for i in range(1, rank + 1) for s in (1, -1)]  # x1 < x1^-1 < ...
     out = [Word()]
     layer = [()]
     for _ in range(max_len):

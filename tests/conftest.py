@@ -1,8 +1,9 @@
 import pytest
 
-from jitower.groups import TableGroup
+from jitower.certificate import FAIL, NOT_GUARANTEED, PASS, CheckResult
+from jitower.groups import TableGroup, word_image
 from jitower.tower import TowerConfig, build
-from jitower.words import OrderBudget
+from jitower.words import OrderBudget, enumerate_words
 
 
 def _prime_factors(n: int) -> tuple:
@@ -40,6 +41,28 @@ def refined_order(group, a) -> int:
         while o % q == 0 and _power(a, o // q, group.identity) == group.identity:
             o //= q
     return o
+
+
+def reference_torsion_check(state) -> CheckResult:
+    """Reference torsion shadow: every word of the enumerated list evaluated
+    from scratch, letter by letter.  The oracle for ``torsion_shadow_check``."""
+    config = state.config
+    top = state.top
+    exp = top.exponent()
+    ok = True
+    worst = None
+    words = enumerate_words(config.d, config.torsion_scan_len)
+    for w in words:
+        order = top.element_order(word_image(w, top.generators, top.identity))
+        bound = max(config.budget.of(w), state.ledger.get(w, (0, 0))[0])
+        if exp % order != 0 or order > bound:
+            ok = False
+            worst = {"word": list(w.letters), "order": order, "bound": bound}
+    bad = FAIL if state.conforming() else NOT_GUARANTEED
+    return CheckResult(
+        "tower.torsion-shadow", PASS if ok else bad,
+        f"{len(words)} words of length <= {config.torsion_scan_len}: order divides "
+        f"{exp} and stays within budget/frozen bounds", witness=worst)
 
 
 def c2():
@@ -107,3 +130,9 @@ def seeded_hlist_tower(tmp_path_factory):
     cfg = TowerConfig(primes=(2, 5), depth=2, seed_path=str(path),
                       force_hlist=True, mode="relaxed")
     return build(cfg)
+
+
+@pytest.fixture(scope="session")
+def rank_three_tower():
+    """The d=3 variant: primes (2,3), depth 2, budget (40,8)."""
+    return build(TowerConfig(d=3, primes=(2, 3), depth=2, budget=OrderBudget(40, 8)))

@@ -225,3 +225,28 @@ def test_normals_negative_level_exits_two(tmp_path, capsys):
     capsys.readouterr()
     assert main(["normals", "--tower", tower, "--level", "-1"]) == 2
     assert "level -1" in capsys.readouterr().err
+
+
+def test_scan_cap_overflow_truncates_the_build(tmp_path, capsys):
+    # the budget scan of step 3 needs the 5 words of length <= 1, which the
+    # cap forbids: the build stops at depth 2 and writes its tower
+    cfg = write_config(tmp_path / "t.cfg", depth=3, budget_scale=1,
+                       budget_base=4, scan_cap=1, torsion_scan_len=0)
+    out = tmp_path / "x.twr"
+    assert main(["build", "--config", cfg, "--out", str(out),
+                 "--test-budget", "--relaxed"]) == 0
+    assert "tower.truncated: stopped early: word scan of 5 words exceeds " \
+        "scan_cap 1" in capsys.readouterr().out
+    assert out.exists()
+    assert main(["report", "--tower", str(out)]) == 0
+    assert "G_2: order 324" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_normals_max_index_below_one_exits_two(tmp_path, capsys, value):
+    cfg = write_config(tmp_path / "t.cfg", depth=1)
+    tower = str(tmp_path / "t.twr")
+    main(["build", "--config", cfg, "--out", tower])
+    capsys.readouterr()
+    assert main(["normals", "--tower", tower, "--max-index", value]) == 2
+    assert f"--max-index {value}" in capsys.readouterr().err

@@ -7,7 +7,7 @@ from jitower.extension import ExtensionGroup
 from jitower.gmodule import GModule
 from jitower.groups import (CapExceeded, TableGroup, closure_indices,
                             is_normal_indices, normal_closure_indices,
-                            word_image)
+                            word_image, word_images)
 from jitower.linalg import PrimeField, Subspace
 from jitower.words import Word, enumerate_words
 
@@ -69,17 +69,22 @@ def test_element_order_norm_rule_both_outcomes():
 @pytest.mark.parametrize("tower", ["default_tower", "budget_tower",
                                    "forced_hlist_tower", "seeded_hlist_tower"])
 def test_element_order_matches_refinement_on_fixture_towers(tower, request):
-    # the oracle runs once per distinct image, the fast path once per word
+    # the oracle runs once per distinct image, the fast path once per word;
+    # each image of the trie walk must equal letter-by-letter evaluation
     state, _ = request.getfixturevalue(tower)
     words = enumerate_words(state.config.d, 6)
     for k in range(state.depth + 1):
         group = state.group(k)
         want = {}
-        for w in words:
-            a = state.pi(w, k)
+        walked = []
+        for w, a in word_images(group.generators, group.identity, 6):
+            assert a == state.pi(w, k), (tower, k, w)
+            walked.append(w)
             if a not in want:
                 want[a] = refined_order(group, a)
             assert group.element_order(a) == want[a], (tower, k, w)
+        # the same words, and lex order within each length
+        assert sorted(walked, key=len) == words, (tower, k)
 
 
 def test_table_validation_rejects_bad_tables():

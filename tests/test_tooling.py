@@ -1,5 +1,5 @@
 """Tooling contracts: every function the benchmark traces still exists,
-and every exported name resolves."""
+every exported name resolves, and the one word count matches the walk."""
 
 import ast
 import importlib
@@ -7,6 +7,9 @@ import pkgutil
 from pathlib import Path
 
 import pytest
+
+from jitower.groups import TableGroup, word_images
+from jitower.words import ball_size
 
 SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 
@@ -41,3 +44,13 @@ def test_all_exports_resolve(module):
     mod = importlib.import_module(f"jitower.{module}")
     missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
     assert not missing
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_ball_size_counts_the_walk(d):
+    # validate, the budget scan's cap and the torsion detail all count words
+    # with ball_size
+    group = TableGroup.trivial(d)
+    for n in range(6):
+        walk = word_images(group.generators, group.identity, n)
+        assert ball_size(d, n) == sum(1 for _ in walk), (d, n)

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -7,15 +8,15 @@ import pytest
 from jitower.certificate import FAIL
 from jitower.extension import ExtensionGroup
 from jitower.gmodule import GModule
-from jitower.groups import TableGroup
+from jitower.groups import TableGroup, word_image
 from jitower.linalg import PrimeField, Subspace
-from jitower.tower import (FeasibilityStop, LoadError, TowerConfig, build,
-                           hlist_gate, init_tower, load_tower,
+from jitower.tower import (FeasibilityStop, LoadError, TowerConfig, _scan_words,
+                           build, hlist_gate, init_tower, load_tower,
                            normal_closure_in_extension, save_tower,
-                           serialize_tower, step)
-from jitower.words import OrderBudget
+                           serialize_tower, step, torsion_shadow_check)
+from jitower.words import OrderBudget, enumerate_words
 
-from conftest import c2
+from conftest import c2, reference_torsion_check
 
 
 def test_init_trivial_seed():
@@ -100,9 +101,8 @@ def test_projection_is_homomorphism(default_tower):
         assert (a * b).lower == a.lower * b.lower
 
 
-def test_rank_three_tower():
-    state, cert = build(TowerConfig(d=3, primes=(2, 3), depth=2,
-                                    budget=OrderBudget(40, 8)))
+def test_rank_three_tower(rank_three_tower):
+    state, cert = rank_three_tower
     assert state.group(1).order == 8
     assert state.levels[1].dim == 16 == (3 - 1) * 8
     assert cert.overall() == "pass"
@@ -147,6 +147,48 @@ def test_frozen_ledger(budget_tower):
     assert margins[0].status == "not-guaranteed"
     assert state.levels[2].delta == Fraction(1, 3)
     assert state.levels[2].dim >= Fraction(1, 3) * 324
+
+
+@pytest.mark.parametrize("tower", ["default_tower", "budget_tower",
+                                   "forced_hlist_tower", "seeded_hlist_tower",
+                                   "rank_three_tower"])
+def test_torsion_shadow_matches_per_word_reference(tower, request):
+    # status, detail and witness (the last failing word in (length, lex)
+    # order; the budget tower has one) equal the per-word scan's
+    state, _ = request.getfixturevalue(tower)
+    assert torsion_shadow_check(state) == reference_torsion_check(state)
+
+
+def test_torsion_witness_is_last_failing_word_across_lengths(budget_tower):
+    # under the budget 2^len words of lengths 2 to 4 outrun their bounds;
+    # frozen at the exponent, the length-4 words outside the x1 branch pass,
+    # so the walk meets the shorter failures of later branches after the
+    # witness, the last failing length-4 word under x1
+    state, _ = budget_tower
+    ledger = dict(state.ledger)
+    for w in enumerate_words(2, 4):
+        if len(w) == 4 and w.letters[0] != 1:
+            ledger[w] = (state.top.exponent(), 3)
+    state = dataclasses.replace(state, ledger=ledger, config=dataclasses.replace(
+        state.config, budget=OrderBudget(1, 2)))
+    want = reference_torsion_check(state)
+    assert want.witness["word"][0] == 1 and len(want.witness["word"]) == 4
+    assert torsion_shadow_check(state) == want
+
+
+def test_scan_words_matches_per_word_reference(budget_tower):
+    # at the top of the budget tower (exponent 30, budget 4^len) the scan
+    # covers lengths 1 and 2, so the pairs must come back sorted by length
+    state, _ = budget_tower
+    top, budget = state.top, state.config.budget
+    max_len = max(n for n in range(8) if budget.of_length(n) < top.exponent())
+    want = []
+    for w in enumerate_words(state.config.d, max_len)[1:]:
+        order = top.element_order(word_image(w, top.generators, top.identity))
+        if order > budget.of(w):
+            want.append((w, order))
+    assert max_len == 2 and {len(w) for w, _ in want} == {1, 2}
+    assert _scan_words(state) == want
 
 
 def test_strict_mode_rejects_margin_violation():
