@@ -439,25 +439,26 @@ def step(state: TowerState) -> Level:
     field = PrimeField(config.primes[k])
     prefix = f"level{k + 1}"
 
-    # words that outrun their budget, plus everything already frozen
-    new_freezes = _scan_words(state)
-    for w, order in new_freezes:
-        if w in state.ledger:
-            if state.ledger[w][0] != order:
-                raise RuntimeError(
-                    f"frozen order of {w} changed: {state.ledger[w][0]} -> {order}")
-        else:
-            state.ledger[w] = (order, k)
-    words = tuple(sorted(state.ledger, key=lambda w: (len(w), w.letters)))
+    # words that outrun their budget, plus everything already frozen; a
+    # frozen order exceeds its budget, so the scan meets every ledger word
+    scanned = dict(_scan_words(state))
+    for w, (order, _) in state.ledger.items():
+        now = scanned.get(w, "within budget")
+        if now != order:
+            raise RuntimeError(f"frozen order {order} of {w} disagrees with the scan: {now}")
+    for w, order in scanned.items():
+        state.ledger.setdefault(w, (order, k))
+    frozen = sorted_ledger(state)
 
     hlist_used = config.closure_list(k + 1)
     subgroups = tuple(_hlist(state)) if hlist_used else ()
 
-    inp = ForgeInput(top, tuple(top.generators), field, words, subgroups,
+    inp = ForgeInput(top, tuple(top.generators), field, tuple(w for w, _ in frozen),
+                     tuple(order for _, (order, _) in frozen), subgroups,
                      relaxed=config.relaxed)
     res = build_module(inp)
     level = Level(k + 1, field, res.rel, res.module, res.gen_vecs,
-                  res.section_vec, res.extension(), res.delta, len(words),
+                  res.section_vec, res.extension(), res.delta, len(frozen),
                   len(subgroups), hlist_used, False)
     margin, dim_bound = gate_checks(state, level)
     level.relaxed_used = any(g.status != PASS for g in (margin, dim_bound))
@@ -487,11 +488,11 @@ def step(state: TowerState) -> Level:
         "q(pi_top(w)) = pi_below(w) on 40 pseudorandom words"))
 
     # the whole ledger keeps its frozen orders at the new top
-    rows = ledger_at_top(state)
-    detail = ", ".join(f"{order}@{lvl}->{now}" for _, order, lvl, now in rows)
+    rows = [(order, lvl, now) for (_, (order, lvl)), now in zip(frozen, res.lifted_orders)]
+    detail = ", ".join(f"{order}@{lvl}->{now}" for order, lvl, now in rows)
     state.checks.append(CheckResult(
         f"{prefix}.order-stability",
-        PASS if all(order == now for _, order, _, now in rows) else FAIL,
+        PASS if all(order == now for order, _, now in rows) else FAIL,
         f"{len(rows)} frozen words keep their orders"
         + (f" ({detail})" if detail else "")))
 
@@ -618,8 +619,6 @@ def _frozen_str(entry: tuple) -> str:
 def _frozen_parse(text: str, d: int) -> tuple:
     order, lvl, *letters = text.split()
     w = Word.make([int(x) for x in letters if x != "-"], rank=d)
-    if 0 in w.letters:
-        raise ValueError("letter 0")
     return w, int(order), int(lvl)
 
 

@@ -1,7 +1,10 @@
+import numpy as np
 import pytest
 
 from jitower.certificate import FAIL, NOT_GUARANTEED, PASS, CheckResult
+from jitower.forge import ForgeInput, SubgroupData, build_module
 from jitower.groups import TableGroup, word_image
+from jitower.linalg import PrimeField
 from jitower.tower import TowerConfig, build
 from jitower.words import OrderBudget, enumerate_words
 
@@ -63,6 +66,32 @@ def reference_torsion_check(state) -> CheckResult:
         "tower.torsion-shadow", PASS if ok else bad,
         f"{len(words)} words of length <= {config.torsion_scan_len}: order divides "
         f"{exp} and stays within budget/frozen bounds", witness=worst)
+
+
+def reference_section_check(ext) -> bool:
+    """Reference section check: sec(g) + g.sec(h) = sec(gh) mod S over all
+    |G|^2 pairs, one |G|-row reduce per g.  The oracle for
+    ``section_is_homomorphism``."""
+    lt = ext.lower.mult_table()
+    sec = ext._sections
+    v = ext.module
+    for g in range(ext.lower.order):
+        lhs = v.killed.reduce(sec[g] + v.act_raw(g, sec))
+        if not np.array_equal(lhs, sec[lt[g]]):
+            return False
+    return True
+
+
+def forge_build(group, p, words=(), subgroup_elt_lists=(), relaxed=False):
+    """One forging step over ``group`` on its designated generators; the base
+    order of each word is evaluated letter by letter."""
+    subs = tuple(SubgroupData.from_elements(group, els)
+                 for els in subgroup_elt_lists)
+    orders = tuple(group.element_order(word_image(w, group.generators, group.identity))
+                   for w in words)
+    return build_module(ForgeInput(group, tuple(group.generators),
+                                   PrimeField(p), tuple(words), orders, subs,
+                                   relaxed=relaxed))
 
 
 def c2():

@@ -19,7 +19,7 @@ from jitower.analysis import (classification_report, graded_chain_report,
                               tower_chain)
 from jitower.certificate import FAIL
 from jitower.extension import ExtensionGroup
-from jitower.forge import ForgeInput, SubgroupData, build_module, verify_conclusions
+from jitower.forge import verify_conclusions
 from jitower.gmodule import GModule
 from jitower.groups import TableGroup
 from jitower.linalg import PrimeField, Subspace
@@ -29,7 +29,7 @@ from jitower.cli import verify_certificate
 from jitower.words import (OrderBudget, Word, enumerate_words,
                            fox_identity_defect)
 
-from conftest import c2, c3, c4, c5, c6, c7, c22, s3
+from conftest import c2, c3, c4, c5, c6, c7, c22, forge_build, s3
 
 
 class Timer:
@@ -214,14 +214,6 @@ def test_criterion_3_classification_oracle_equivalence():
                  f"{min(sizes)}..{max(sizes)}, lattices match exactly")
 
 
-def _forge(group, p, words=(), subgroup_elt_lists=(), relaxed=False):
-    subs = tuple(SubgroupData.from_elements(group, els)
-                 for els in subgroup_elt_lists)
-    return build_module(ForgeInput(group, tuple(group.generators),
-                                   PrimeField(p), tuple(words), subs,
-                                   relaxed=relaxed))
-
-
 def test_criterion_4_module_conclusions(budget_tower, seeded_hlist_tower):
     with Timer(60.0) as timer:
         s3g, klein, cyc3, cyc5, cyc7 = s3(), c22(), c3(), c5(), c7()
@@ -253,7 +245,7 @@ def test_criterion_4_module_conclusions(budget_tower, seeded_hlist_tower):
                     sub_lists.append([group.generators[i] for i in spec])
                 else:
                     sub_lists.append(spec)
-            res = _forge(group, p, words=words, subgroup_elt_lists=sub_lists)
+            res = forge_build(group, p, words=words, subgroup_elt_lists=sub_lists)
             n_r += bool(words)
             n_s += bool(sub_lists)
             bound = Fraction(len(res.input.gens) - 1) * group.order * res.delta

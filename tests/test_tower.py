@@ -14,7 +14,7 @@ from jitower.tower import (FeasibilityStop, LoadError, TowerConfig, _scan_words,
                            build, hlist_gate, init_tower, load_tower,
                            normal_closure_in_extension, save_tower,
                            serialize_tower, step, torsion_shadow_check)
-from jitower.words import OrderBudget, enumerate_words
+from jitower.words import OrderBudget, Word, enumerate_words
 
 from conftest import c2, reference_torsion_check
 
@@ -313,6 +313,33 @@ def test_ledger_tamper_detected(budget_tower, tmp_path):
     bad.write_text("\n".join(lines) + "\n")
     with pytest.raises(LoadError):
         load_tower(bad)
+
+
+def test_ledger_letter_zero_is_load_error(budget_tower, tmp_path):
+    state, _ = budget_tower
+    path = tmp_path / "b.twr"
+    save_tower(state, path)
+    text = path.read_text()
+    assert "\nfrozen 6 2 1\n" in text
+    bad = tmp_path / "bad.twr"
+    bad.write_text(text.replace("\nfrozen 6 2 1\n", "\nfrozen 6 2 0\n", 1))
+    with pytest.raises(LoadError, match="bad frozen"):
+        load_tower(bad)
+
+
+@pytest.mark.parametrize("letters, frozen, now", [
+    ([1], 3, "6"),                   # in the scan with another order
+    ([1, 2], 6, "within budget"),    # order 6 <= 4^2: never frozen
+])
+def test_step_rejects_ledger_the_scan_contradicts(letters, frozen, now):
+    # the step takes the base orders of frozen words from its budget scan
+    # (words of length 1 at the exponent-6 top G_2 under the budget 4^len)
+    state = init_tower(TowerConfig(budget=OrderBudget(1, 4), test_budget=True,
+                                   mode="relaxed"))
+    step(state)
+    state.ledger = {Word.make(letters): (frozen, 1)}
+    with pytest.raises(RuntimeError, match=f"frozen order {frozen} .* scan: {now}$"):
+        step(state)
 
 
 def test_forced_closure_list_on_trivial_seed(forced_hlist_tower):
