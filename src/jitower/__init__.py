@@ -10,12 +10,12 @@ classification, growth tables and graded descending chains.
 
 from .certificate import Certificate, CheckResult
 from .linalg import PrimeField, Subspace, kernel_basis, matrix, rref, solve_batch
-from .words import FormalSum, OrderBudget, Word, enumerate_words, fox_eval, fox_vector
+from .words import OrderBudget, Word, enumerate_words, fox_vector
 from .groups import GroupHandle, TableGroup, word_image
 from .gmodule import GModule
 from .extension import ExtElement, ExtensionGroup
-from .relmod import (RelationModule, gaschuetz_check, magnus_pair,
-                     relation_module, relator_power_image)
+from .relmod import (RelationModule, magnus_pair, relation_module,
+                     relator_power_image)
 from .forge import (ForgeInput, ForgeResult, SubgroupData, build_module,
                     compute_delta, verify_conclusions)
 from .tower import (TowerConfig, TowerState, build, init_tower, load_tower,

@@ -14,9 +14,9 @@ import argparse
 import os
 import sys
 
-from .certificate import Certificate, CheckResult, FAIL, PASS
+from .certificate import Certificate, CheckResult, FAIL, PASS, SKIPPED
 from .forge import BuildError
-from .groups import CapExceeded
+from .groups import TABLE_CAP, CapExceeded
 # step is not called here, but bench/test_bench.py checks that the tracer
 # rebinds this module's step
 from .tower import (CONFIG_FIELDS, LoadError, TowerConfig, TowerState,
@@ -179,7 +179,13 @@ def verify_certificate(state: TowerState, wanted=DEFAULT_CHECKS) -> Certificate:
     if "grading" in wanted:
         from .analysis import graded_chain_report
         level = _max_enumerable_level(state)
-        if level >= 1:
+        order = state.group(level).order
+        if order > TABLE_CAP:
+            cert.checks.append(CheckResult(
+                "grading.descends", SKIPPED,
+                f"top enumerable level {level} has order {order}, above the "
+                f"multiplication-table cap {TABLE_CAP}"))
+        elif level >= 1:
             cert.checks.extend(graded_chain_report(state, level))
     if "fixed" in wanted:
         cert.checks.extend(_verify_fixed(state))
@@ -197,7 +203,7 @@ def verify_certificate(state: TowerState, wanted=DEFAULT_CHECKS) -> Certificate:
             cert.checks.extend(gchecks)
         else:
             cert.checks.append(CheckResult(
-                "normals.classification-oracle", "skipped",
+                "normals.classification-oracle", SKIPPED,
                 f"top enumerable level has order {chain[-1].order}, "
                 "brute force capped at 2000"))
     if "rigidity" in wanted:

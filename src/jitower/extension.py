@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .groups import CapExceeded, DEFAULT_ENUM_CAP, GroupHandle
+from .groups import CapExceeded, DEFAULT_ENUM_CAP, TABLE_CAP, GroupHandle
 from .gmodule import GModule
 
 __all__ = ["ExtElement", "ExtensionGroup"]
@@ -160,11 +160,6 @@ class ExtensionGroup(GroupHandle):
 
     # enumeration
 
-    def _radix(self) -> np.ndarray:
-        # only meaningful at enumeration scale; guarded by the caps below
-        r = self.module.live_dim
-        return self.field.p ** np.arange(r - 1, -1, -1, dtype=np.int64)
-
     def _coeff_digits(self) -> np.ndarray:
         r = self.module.live_dim
         p = self.field.p
@@ -213,11 +208,12 @@ class ExtensionGroup(GroupHandle):
             r = self.module.live_dim
             nvec = p ** r
             n_low = self.lower.order
-            if self.order * self.order > 2 ** 26:
-                raise CapExceeded(f"multiplication table of order {self.order} too large")
+            if self.order > TABLE_CAP:
+                raise CapExceeded(f"multiplication table of order {self.order} "
+                                  f"exceeds the table cap {TABLE_CAP}")
             lt = self.lower.mult_table()
             digits = self._coeff_digits()
-            radix = self._radix()
+            radix = p ** np.arange(r - 1, -1, -1, dtype=np.int64)
             add = ((digits[:, None, :] + digits[None, :, :]) % p) @ radix \
                 if r else np.zeros((1, 1), dtype=np.int64)
             table = np.empty((self.order, self.order), dtype=np.int64)
@@ -239,7 +235,3 @@ class ExtensionGroup(GroupHandle):
             inv[idx[:, 0]] = idx[:, 1]
             self._inv_table = inv
         return self._inv_table
-
-    def random_element(self, rng) -> ExtElement:
-        coeffs = [rng.randrange(self.field.p) for _ in range(self.module.live_dim)]
-        return self.from_coeffs(self.lower.random_element(rng), coeffs)

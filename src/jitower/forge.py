@@ -21,7 +21,7 @@ relation module has (d-1)|G| + 1 dimensions to start with.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 
@@ -30,7 +30,7 @@ import numpy as np
 from .certificate import CheckResult, FAIL, PASS, SAMPLED, SKIPPED
 from .extension import ExtensionGroup
 from .gmodule import GModule
-from .groups import GroupHandle, normalizer_indices, word_image
+from .groups import GroupHandle, word_image
 from .linalg import PrimeField, Subspace, solve_batch
 from .relmod import RelationModule, relation_module, relator_power_image
 
@@ -45,6 +45,7 @@ __all__ = [
     "verify_conclusions",
     "section_is_homomorphism",
     "cyclic_subgroup_reps",
+    "cyclic_fixed_dims",
 ]
 
 
@@ -57,17 +58,13 @@ class SubgroupData:
     """A subgroup of the base group with the sizes the margin formula needs."""
 
     generators: tuple
-    indices: tuple
     size: int
     normalizer_size: int
-    label: str = ""
 
     @classmethod
-    def from_elements(cls, group: GroupHandle, elements, label: str = ""):
+    def from_elements(cls, group: GroupHandle, elements):
         idxs = group.subgroup_closure(elements)
-        sub = np.asarray(idxs, dtype=np.int64)
-        nn = normalizer_indices(group.mult_table(), group.inverse_table(), sub)
-        return cls(tuple(elements), idxs, len(idxs), int(nn.size), label)
+        return cls(tuple(elements), len(idxs), len(group.normalizer(idxs)))
 
 
 @dataclass
@@ -93,7 +90,6 @@ class ForgeResult:
     delta: Fraction
     gen_vecs: np.ndarray           # d ambient vectors, reduced mod killed
     section_vec: np.ndarray        # A with section(g) = ((1-g)A/|G|, g)
-    checks: list = field(default_factory=list)
     _extension: ExtensionGroup | None = None
 
     @property
@@ -169,13 +165,7 @@ def build_module(inp: ForgeInput) -> ForgeResult:
         gen_vecs[i, i * n] = 1
     gen_vecs = quotient.killed.reduce(gen_vecs)
 
-    result = ForgeResult(inp, rel, quotient, delta, gen_vecs, splitting_vector(rel))
-    bound = Fraction(inp.d - 1) * inp.group.order * delta
-    result.checks.append(CheckResult(
-        "forge.dim-bound",
-        PASS if Fraction(quotient.live_dim) >= bound else FAIL,
-        f"dim V = {quotient.live_dim} >= (d-1)|G|*delta = {bound}"))
-    return result
+    return ForgeResult(inp, rel, quotient, delta, gen_vecs, splitting_vector(rel))
 
 
 def cyclic_subgroup_reps(group: GroupHandle) -> list:
@@ -189,6 +179,13 @@ def cyclic_subgroup_reps(group: GroupHandle) -> list:
             seen.add(idxs)
             reps.append((e, len(idxs)))
     return reps
+
+
+def cyclic_fixed_dims(rel: RelationModule, killed: Subspace) -> list:
+    """(|K|, dim (R/S)^K) for every cyclic subgroup K of the base group,
+    with R = ``rel`` and S = ``killed``; both fixed-space bounds read these."""
+    return [(size, rel.quotient_fixed_dim(killed, [e]))
+            for e, size in cyclic_subgroup_reps(rel.group)]
 
 
 def verify_conclusions(result: ForgeResult, check_fixed_bound: bool = True,
@@ -240,19 +237,14 @@ def verify_conclusions(result: ForgeResult, check_fixed_bound: bool = True,
 
     if check_fixed_bound:
         if result.delta > 0:
-            ok = True
-            worst = None
-            subs = cyclic_subgroup_reps(inp.group)
-            for e, size in subs:
-                dim = result.rel.quotient_fixed_dim(v.killed, [e])
-                # dim V^K <= dim V / (delta |K|), exactly
-                if Fraction(dim) > Fraction(v.live_dim, 1) / (result.delta * size):
-                    ok = False
-                    worst = {"subgroup_size": size, "fixed_dim": dim}
+            dims = cyclic_fixed_dims(result.rel, v.killed)
+            # dim V^K <= dim V / (delta |K|), exactly; the last violation is the witness
+            bad = [{"subgroup_size": size, "fixed_dim": dim} for size, dim in dims
+                   if Fraction(dim) > Fraction(v.live_dim) / (result.delta * size)]
             checks.append(CheckResult(
-                f"{prefix}.fixed-bound-margin", SAMPLED if ok else FAIL,
-                f"dim V^K <= dim V/(delta*|K|) over {len(subs)} sampled subgroups",
-                witness=worst))
+                f"{prefix}.fixed-bound-margin", FAIL if bad else SAMPLED,
+                f"dim V^K <= dim V/(delta*|K|) over {len(dims)} sampled subgroups",
+                witness=bad[-1] if bad else None))
         else:
             checks.append(CheckResult(f"{prefix}.fixed-bound-margin", SKIPPED,
                                       "margin delta <= 0, bound not applicable"))
@@ -261,8 +253,6 @@ def verify_conclusions(result: ForgeResult, check_fixed_bound: bool = True,
         f"{prefix}.section-homomorphism",
         PASS if section_is_homomorphism(result.extension(), inp.gens) else FAIL,
         f"section multiplicativity over {inp.group.order ** 2} pairs (exhaustive)"))
-
-    result.checks.extend(checks)
     return checks
 
 

@@ -96,11 +96,6 @@ class GModule:
 
     # ambient coordinate helpers
 
-    def basis_vector(self, copy: int, elt_idx: int) -> np.ndarray:
-        v = np.zeros(self.ambient_dim, dtype=np.int64)
-        v[copy * self.group.order + elt_idx] = 1
-        return v
-
     def norm_vector(self, copy: int = 0) -> np.ndarray:
         """The sum of all group coordinates in one copy; always G-fixed."""
         n = self.group.order

@@ -19,6 +19,7 @@ from .words import Word
 
 __all__ = [
     "CapExceeded",
+    "TABLE_CAP",
     "GroupHandle",
     "TableElement",
     "TableGroup",
@@ -33,6 +34,9 @@ __all__ = [
 ]
 
 DEFAULT_ENUM_CAP = 10 ** 6
+# the largest split extension whose multiplication table is built: 8192^2
+# int64 entries are 512 MiB
+TABLE_CAP = 8192
 
 
 class CapExceeded(RuntimeError):
@@ -44,8 +48,8 @@ class GroupHandle:
 
     Subclasses set ``order``, ``generators`` and ``identity`` and define
     ``exponent()``, ``elements()``, ``index_of()``, ``mult_table()``,
-    ``inverse_table()``, ``random_element()`` and ``_order(a)``, the
-    structural order of one element.
+    ``inverse_table()`` and ``_order(a)``, the structural order of one
+    element.
     """
 
     kind = "abstract"
@@ -217,9 +221,6 @@ class TableGroup(GroupHandle):
 
     def exponent(self) -> int:
         return math.lcm(*self._element_orders().tolist())
-
-    def random_element(self, rng) -> TableElement:
-        return TableElement(self, rng.randrange(self.order))
 
     # constructors
 

@@ -36,9 +36,7 @@ __all__ = [
     "relation_module",
     "boundary_matrix",
     "magnus_pair",
-    "magnus_product",
     "relator_power_image",
-    "gaschuetz_check",
 ]
 
 
@@ -104,8 +102,7 @@ def boundary_matrix(group: GroupHandle, gen_idxs, p: int) -> np.ndarray:
     return b
 
 
-def relation_module(group: GroupHandle, gens, field: PrimeField,
-                    check: bool = True) -> RelationModule:
+def relation_module(group: GroupHandle, gens, field: PrimeField) -> RelationModule:
     """Build the relation module for the given generating tuple.
 
     Requires p coprime to |G| and that the tuple generates; both are
@@ -118,13 +115,12 @@ def relation_module(group: GroupHandle, gens, field: PrimeField,
         raise ValueError(f"prime {field.p} divides the group order {group.order}")
     gens = tuple(gens)
     gen_idxs = [group.index_of(g) for g in gens]
-    if check:
-        reach = closure_indices(group.mult_table(), gen_idxs)
-        if reach.size != group.order:
-            raise ValueError("the tuple does not generate the group")
+    reach = closure_indices(group.mult_table(), gen_idxs)
+    if reach.size != group.order:
+        raise ValueError("the tuple does not generate the group")
     b = boundary_matrix(group, gen_idxs, field.p)
     kernel = kernel_basis(b, field)
-    module = GModule(field, group, len(gens), live=kernel, check=check)
+    module = GModule(field, group, len(gens), live=kernel)
     expected = (len(gens) - 1) * group.order + 1
     if module.live_dim != expected:
         raise RuntimeError(
@@ -135,51 +131,12 @@ def relation_module(group: GroupHandle, gens, field: PrimeField,
 def magnus_pair(word: Word, rel: RelationModule):
     """The multiplicative pair (fox vector, image) of a free word.
 
-    Satisfies rel.derivation(vec) == image - 1, and magnus_pair(u*v) equals
-    magnus_product(rel, magnus_pair(u), magnus_pair(v)).
+    Satisfies rel.derivation(vec) == image - 1, and the pair of u*v is
+    (vec_u + u.vec_v, image_u * image_v).
     """
-    sums, value = fox_vector(word, rel.gens, rel.group.identity, rel.field.p)
-    n = rel.group.order
-    vec = np.zeros(rel.module.ambient_dim, dtype=np.int64)
-    for i, s in enumerate(sums):
-        for g, c in s.terms.items():
-            vec[i * n + rel.group.index_of(g)] = c
-    return vec, value
-
-
-def magnus_product(rel: RelationModule, a, b):
-    """(a_vec + a_g . b_vec, a_g * b_g); the pair multiplication."""
-    vec = (a[0] + rel.module.act_raw(a[1], b[0])) % rel.field.p
-    return vec, a[1] * b[1]
-
-
-def gaschuetz_check(rel: RelationModule, subgroup_sets=None) -> list:
-    """Fixed-space dimensions against (d-1)|G:H| + 1, one check per subgroup.
-
-    ``subgroup_sets`` is an iterable of element-index collections; when
-    omitted the full subgroup lattice is enumerated (small groups only).
-    Also records the kernel-dimension identity itself.
-    """
-    from .certificate import CheckResult, FAIL, PASS
-    group, d = rel.group, rel.d
-    if subgroup_sets is None:
-        subgroup_sets = group.all_subgroups()
-    expected_kernel = (d - 1) * group.order + 1
-    out = [CheckResult(
-        "relmod.kernel-dim",
-        PASS if rel.kernel_dim == expected_kernel else FAIL,
-        f"dim ker = {rel.kernel_dim}, (d-1)|G|+1 = {expected_kernel}")]
-    for sub in subgroup_sets:
-        idxs = sorted(int(i) for i in sub)
-        elements = [group.element(i) for i in idxs] \
-            if hasattr(group, "element") else [group.elements()[i] for i in idxs]
-        dim = rel.module.fixed_dim(elements)
-        want = (d - 1) * (group.order // len(idxs)) + 1
-        out.append(CheckResult(
-            f"relmod.fixed-dim.H{len(idxs)}." + "-".join(map(str, idxs[:6])),
-            PASS if dim == want else FAIL,
-            f"dim of the fixed space = {dim}, (d-1)|G:H|+1 = {want}"))
-    return out
+    vec, image = fox_vector(word, rel.group, [rel.group.index_of(g) for g in rel.gens],
+                            rel.field.p)
+    return vec, rel.group.elements()[image]
 
 
 def relator_power_image(word: Word, rel: RelationModule) -> np.ndarray:

@@ -28,10 +28,10 @@ import numpy as np
 from .certificate import Certificate, CheckResult, FAIL, NOT_GUARANTEED, PASS, SAMPLED
 from .extension import ExtensionGroup
 from .forge import (BuildError, ForgeInput, SubgroupData, build_module,
-                    compute_delta, cyclic_subgroup_reps, splitting_vector,
+                    compute_delta, cyclic_fixed_dims, splitting_vector,
                     verify_conclusions)
 from .gmodule import GModule
-from .groups import TableGroup, word_image, word_images
+from .groups import TABLE_CAP, TableGroup, word_image, word_images
 from .linalg import PrimeField, Subspace
 from .relmod import RelationModule, relation_module
 from .words import OrderBudget, Word, ball_size
@@ -343,9 +343,7 @@ def _hlist(state: TowerState) -> list:
     """Deduplicated normal closures of nontrivial next-to-top elements,
     embedded in the top group via the section."""
     k = state.depth
-    level = state.levels[-1]
-    top = level.group
-    below = state.group(k - 1)
+    top, below = state.top, state.group(k - 1)
     seen = {}
     for g in below.elements()[1:]:
         w_space, m_idxs = normal_closure_in_extension(top, g)
@@ -354,20 +352,7 @@ def _hlist(state: TowerState) -> list:
             continue
         gens = [top.from_vpart(below.identity, row) for row in w_space.basis]
         gens += [top.section(below.elements()[int(i)]) for i in m_idxs if i != 0]
-        size = level.p ** w_space.dim * len(m_idxs)
-        m_set = frozenset(int(i) for i in m_idxs)
-
-        def member(e, w_space=w_space, m_set=m_set):
-            return (below.index_of(e.lower) in m_set
-                    and w_space.contains(top.vpart(e)))
-
-        norm = 0
-        for x in top.elements():
-            xi = x.inverse()
-            if all(member(x * h * xi) for h in gens):
-                norm += 1
-        seen[key] = SubgroupData(tuple(gens), (), size, norm,
-                                 label=f"ncl-of-level-{k - 1}-element")
+        seen[key] = SubgroupData.from_elements(top, gens)
     return list(seen.values())
 
 
@@ -381,26 +366,23 @@ def fixed_space_checks(state: TowerState, lv: Level) -> list:
     and verify both emit these checks through this function.
     """
     eps = state.config.epsilon
-    reps = cyclic_subgroup_reps(state.group(lv.index - 1))
-    margin_ok, eps_ok = True, True
-    witness = None
-    for e, size in reps:
-        dim = lv.rel.quotient_fixed_dim(lv.module.killed, [e])
-        if lv.delta > 0 and Fraction(dim) > Fraction(lv.dim) / (lv.delta * size):
-            margin_ok = False
+    dims = cyclic_fixed_dims(lv.rel, lv.module.killed)
+    margin_ok, eps_ok, witness = True, True, None
+    for size, dim in dims:
+        over_margin = lv.delta > 0 and Fraction(dim) > Fraction(lv.dim) / (lv.delta * size)
+        over_eps = Fraction(dim) * (1 - eps) * size > lv.dim
+        if over_margin or over_eps:
             witness = {"subgroup_size": size, "fixed_dim": dim}
-        if Fraction(dim) * (1 - eps) * size > Fraction(lv.dim):
-            eps_ok = False
-            witness = {"subgroup_size": size, "fixed_dim": dim}
+        margin_ok, eps_ok = margin_ok and not over_margin, eps_ok and not over_eps
     eps_bad = NOT_GUARANTEED if lv.relaxed_used else FAIL
     prefix = f"level{lv.index}"
     return [CheckResult(f"{prefix}.fixed-bound-margin",
                         SAMPLED if margin_ok else FAIL,
-                        f"dim V^K <= dim V/(delta|K|) over {len(reps)} cyclic subgroups",
+                        f"dim V^K <= dim V/(delta|K|) over {len(dims)} cyclic subgroups",
                         witness=None if margin_ok else witness),
             CheckResult(f"{prefix}.fixed-bound-eps",
                         SAMPLED if eps_ok else eps_bad,
-                        f"dim V^K <= dim V/((1-eps)|K|) over {len(reps)} cyclic subgroups",
+                        f"dim V^K <= dim V/((1-eps)|K|) over {len(dims)} cyclic subgroups",
                         witness=None if eps_ok else witness)]
 
 
@@ -433,9 +415,9 @@ def step(state: TowerState) -> Level:
     if k + 1 > len(config.primes):
         raise FeasibilityStop("prime sequence exhausted")
     top = state.top
-    if not top.is_enumerable(config.enum_cap):
-        raise FeasibilityStop(
-            f"|G_{k}| = {top.order} exceeds the enumeration cap {config.enum_cap}")
+    for cap, name in ((config.enum_cap, "enumeration"), (TABLE_CAP, "multiplication-table")):
+        if top.order > cap:
+            raise FeasibilityStop(f"|G_{k}| = {top.order} exceeds the {name} cap {cap}")
     field = PrimeField(config.primes[k])
     prefix = f"level{k + 1}"
 

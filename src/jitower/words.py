@@ -1,4 +1,4 @@
-"""Free-group words, the order budget, and Fox derivatives.
+"""Free-group words, the order budget, and Fox vectors.
 
 Letters are nonzero integers: ``+i`` is the i-th basis letter, ``-i`` its
 inverse (1-based).  Words are always stored freely reduced.  The
@@ -11,16 +11,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 __all__ = [
     "Word",
     "OrderBudget",
-    "FormalSum",
     "enumerate_words",
     "word_count",
     "ball_size",
     "fox_vector",
-    "fox_eval",
-    "fox_identity_defect",
 ]
 
 
@@ -152,128 +151,35 @@ class OrderBudget:
         return self.tail_sum(rank) <= epsilon / 2
 
 
-class FormalSum:
-    """An element of the group algebra F_p[G] with explicitly listed terms.
+def fox_vector(word: Word, group, gen_idxs, p: int):
+    """All Fox derivatives of ``word`` pushed into F_p[G], as one walk.
 
-    Terms map group elements to nonzero residues mod p; zero coefficients
-    are dropped on construction.  Group elements must be hashable and
-    support ``*`` within their group.
-    """
-
-    __slots__ = ("p", "terms")
-
-    def __init__(self, p: int, terms=()):
-        data = {}
-        items = terms.items() if isinstance(terms, dict) else terms
-        for g, c in items:
-            c = (data.get(g, 0) + int(c)) % p
-            if c:
-                data[g] = c
-            else:
-                data.pop(g, None)
-        self.p = p
-        self.terms = data
-
-    @classmethod
-    def one(cls, p: int, identity) -> "FormalSum":
-        return cls(p, {identity: 1})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "FormalSum") -> "FormalSum":
-        out = dict(self.terms)
-        for g, c in other.terms.items():
-            c = (out.get(g, 0) + c) % self.p
-            if c:
-                out[g] = c
-            else:
-                out.pop(g, None)
-        return FormalSum(self.p, out)
-
-    def __neg__(self) -> "FormalSum":
-        return FormalSum(self.p, {g: -c for g, c in self.terms.items()})
-
-    def __sub__(self, other: "FormalSum") -> "FormalSum":
-        return self + (-other)
-
-    def scaled(self, c: int) -> "FormalSum":
-        return FormalSum(self.p, {g: v * c for g, v in self.terms.items()})
-
-    def translated(self, g) -> "FormalSum":
-        """Left multiplication by a group element."""
-        return FormalSum(self.p, {g * h: c for h, c in self.terms.items()})
-
-    def __mul__(self, other: "FormalSum") -> "FormalSum":
-        out = {}
-        for g, a in self.terms.items():
-            for h, b in other.terms.items():
-                k = g * h
-                out[k] = (out.get(k, 0) + a * b) % self.p
-        return FormalSum(self.p, out)
-
-    def __eq__(self, other):
-        return (isinstance(other, FormalSum) and other.p == self.p
-                and other.terms == self.terms)
-
-    def __hash__(self):
-        return hash((self.p, frozenset(self.terms.items())))
-
-    def __repr__(self):
-        if not self.terms:
-            return "FormalSum(0)"
-        body = " + ".join(f"{c}*{g!r}" for g, c in self.terms.items())
-        return f"FormalSum({body})"
-
-
-def _bump(d: dict, g, c: int, p: int):
-    c = (d.get(g, 0) + c) % p
-    if c:
-        d[g] = c
-    else:
-        d.pop(g, None)
-
-
-def fox_vector(word: Word, images, identity, p: int):
-    """All Fox derivatives of ``word`` pushed into F_p[G].
-
-    ``images[i]`` is the target of the (i+1)-st basis letter under a
-    homomorphism from the free group (any assignment extends to one).
-    Returns ``(sums, value)`` where ``sums[i]`` is the evaluated derivative
-    with respect to the (i+1)-st letter and ``value`` is the image of the
-    whole word.
+    ``gen_idxs[i]`` is the index in ``group`` of the image of the (i+1)-st
+    basis letter under a homomorphism from the free group (any assignment
+    extends to one).  Returns ``(vec, image)``: ``vec`` is the flat
+    ``d*|G|`` coordinate vector mod p whose copy i holds the evaluated
+    derivative with respect to the (i+1)-st letter, and ``image`` is the
+    index of the whole word's image.
 
     The defining rules: the derivative of x_j with respect to x_i is
     delta_ij, of x_j^-1 it is -delta_ij * images[j]^-1, and products follow
-    d(uv) = d(u) + u * d(v).
+    d(uv) = d(u) + u * d(v).  So a letter x_j adds +1 at the prefix image
+    before it and x_j^-1 adds -1 at the prefix image after it, both in copy
+    j; the prefix moves through the group's multiplication and inverse
+    tables.
     """
-    d = len(images)
-    sums = [dict() for _ in range(d)]
-    prefix = identity
+    table, inv = group.mult_table(), group.inverse_table()
+    n, d = group.order, len(gen_idxs)
+    vec = np.zeros(d * n, dtype=np.int64)
+    prefix = 0
     for x in word.letters:
         j = abs(x) - 1
         if j >= d:
             raise ValueError(f"letter {x} out of range [1, {d}]")
         if x > 0:
-            _bump(sums[j], prefix, 1, p)
-            prefix = prefix * images[j]
+            vec[j * n + prefix] += 1
+            prefix = table[prefix, gen_idxs[j]]
         else:
-            prefix = prefix * images[j].inverse()
-            _bump(sums[j], prefix, -1, p)
-    return [FormalSum(p, s) for s in sums], prefix
-
-
-def fox_eval(word: Word, i: int, images, identity, p: int) -> FormalSum:
-    """The evaluated Fox derivative of ``word`` with respect to letter i (1-based)."""
-    sums, _ = fox_vector(word, images, identity, p)
-    return sums[i - 1]
-
-
-def fox_identity_defect(word: Word, images, identity, p: int) -> FormalSum:
-    """sum_i (dw/dx_i)(x_i - 1) - (w - 1) in F_p[G]; zero for every word."""
-    sums, value = fox_vector(word, images, identity, p)
-    total = FormalSum(p)
-    for s, g in zip(sums, images):
-        # pair lists, not dict literals: g may equal the identity
-        total = total + s * FormalSum(p, [(g, 1), (identity, -1)])
-    return total - FormalSum(p, [(value, 1), (identity, -1)])
+            prefix = table[prefix, inv[gen_idxs[j]]]
+            vec[j * n + prefix] -= 1
+    return vec % p, int(prefix)

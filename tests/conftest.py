@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from jitower.certificate import FAIL, NOT_GUARANTEED, PASS, CheckResult
+from jitower.extension import ExtensionGroup
 from jitower.forge import ForgeInput, SubgroupData, build_module
-from jitower.groups import TableGroup, word_image
+from jitower.groups import TableElement, TableGroup, word_image
 from jitower.linalg import PrimeField
 from jitower.tower import TowerConfig, build
 from jitower.words import OrderBudget, enumerate_words
@@ -80,6 +81,38 @@ def reference_section_check(ext) -> bool:
         if not np.array_equal(lhs, sec[lt[g]]):
             return False
     return True
+
+
+def reference_fox_vector(word, group, images, p):
+    """Reference Fox walk over group elements: one dict per letter maps an
+    element to its residue, and the prefix moves by element products.
+    Returns ``(vec, image)`` in ``fox_vector``'s flat form, the oracle for
+    it; ``images`` are elements, one per basis letter."""
+    sums = [{} for _ in images]
+    prefix = group.identity
+    for x in word.letters:
+        j = abs(x) - 1
+        if x > 0:
+            sums[j][prefix] = sums[j].get(prefix, 0) + 1
+            prefix = prefix * images[j]
+        else:
+            prefix = prefix * images[j].inverse()
+            sums[j][prefix] = sums[j].get(prefix, 0) - 1
+    n = group.order
+    vec = np.zeros(len(images) * n, dtype=np.int64)
+    for j, terms in enumerate(sums):
+        for g, c in terms.items():
+            vec[j * n + group.index_of(g)] = c % p
+    return vec, group.index_of(prefix)
+
+
+def random_element(group, rng):
+    """A uniformly random element of a table group or a split extension,
+    drawn from ``rng`` (a ``random.Random``)."""
+    if isinstance(group, ExtensionGroup):
+        coeffs = [rng.randrange(group.field.p) for _ in range(group.module.live_dim)]
+        return group.from_coeffs(random_element(group.lower, rng), coeffs)
+    return TableElement(group, rng.randrange(group.order))
 
 
 def forge_build(group, p, words=(), subgroup_elt_lists=(), relaxed=False):

@@ -148,6 +148,33 @@ def test_build_truncates_at_enum_cap(tmp_path, capsys):
     assert "depth 2" in out
 
 
+def test_build_truncates_at_table_cap(tmp_path, capsys):
+    # |G_2| = 9604 is enumerable, but its multiplication table is over the cap
+    cfg = write_config(tmp_path / "t.cfg", primes="2,7,3", depth=3)
+    tower = str(tmp_path / "t.twr")
+    assert main(["build", "--config", cfg, "--out", tower]) == 0
+    out = capsys.readouterr().out
+    assert "depth 2, truncated" in out
+    assert "exceeds the multiplication-table cap 8192" in out
+    assert main(["verify", "--tower", tower]) == 0
+    capsys.readouterr()
+
+
+def test_grading_skipped_above_table_cap(tmp_path, capsys):
+    cfg = write_config(tmp_path / "t.cfg", primes="2,7", depth=2)
+    tower = str(tmp_path / "t.twr")
+    report = str(tmp_path / "v.json")
+    assert main(["build", "--config", cfg, "--out", tower]) == 0
+    capsys.readouterr()
+    assert main(["verify", "--tower", tower, "--checks", "grading",
+                 "--report", report]) == 0
+    capsys.readouterr()
+    checks = json.loads(open(report).read())["checks"]
+    grading = [c for c in checks if c["check"].startswith("grading.")]
+    assert [(c["check"], c["status"]) for c in grading] == [("grading.descends", "skipped")]
+    assert "order 9604, above the multiplication-table cap 8192" in grading[0]["detail"]
+
+
 def test_unknown_config_key_exits_two(tmp_path, capsys):
     cfg = write_config(tmp_path / "bad.cfg", depht=1)
     out = tmp_path / "x.twr"

@@ -5,8 +5,7 @@ import pytest
 
 from jitower.groups import TableGroup, word_image
 from jitower.linalg import PrimeField, Subspace, rref
-from jitower.relmod import (magnus_pair, magnus_product, relation_module,
-                            relator_power_image)
+from jitower.relmod import magnus_pair, relation_module, relator_power_image
 from jitower.words import Word
 
 from conftest import c2, c3, c4, c6, c22, s3
@@ -75,11 +74,11 @@ def test_magnus_multiplicativity_random():
                        for _ in range(rng.randint(0, 6))])
         v = Word.make([rng.choice([1, -1]) * rng.randint(1, 2)
                        for _ in range(rng.randint(0, 6))])
-        a = magnus_pair(u, rel)
-        b = magnus_pair(v, rel)
-        ab = magnus_product(rel, a, b)
-        direct = magnus_pair(u * v, rel)
-        assert np.array_equal(ab[0], direct[0]) and ab[1] == direct[1]
+        (vu, gu), (vv, gv) = magnus_pair(u, rel), magnus_pair(v, rel)
+        vuv, guv = magnus_pair(u * v, rel)
+        # (vu, gu)(vv, gv) = (vu + gu.vv, gu gv), the action a coordinate gather
+        assert np.array_equal(vuv, (vu + rel.module.act_raw(gu, vv)) % 5)
+        assert guv == gu * gv
 
 
 def test_relator_lands_in_kernel():
@@ -174,13 +173,3 @@ def test_word_image_matches_magnus_value():
     rel = relation_module(g, g.generators, PrimeField(5))
     w = Word.make([1, 2, 1, -2])
     assert magnus_pair(w, rel)[1] == word_image(w, g.generators, g.identity)
-
-
-def test_gaschuetz_check_reports_per_subgroup():
-    from jitower.relmod import gaschuetz_check
-    g = c22()
-    rel = relation_module(g, g.generators, PrimeField(3))
-    checks = gaschuetz_check(rel)
-    assert len(checks) == 1 + 5          # kernel check + full lattice of C2xC2
-    assert all(c.status == "pass" for c in checks)
-    assert any("dim ker = 5" in c.detail for c in checks)

@@ -1,17 +1,23 @@
 """Tooling contracts: every function the benchmark traces still exists,
-every exported name resolves, and the one word count matches the walk."""
+every exported name resolves, the one word count matches the walk, and the
+fixture towers reproduce the benchmark's pinned output bytes."""
 
 import ast
+import hashlib
 import importlib
+import json
 import pkgutil
 from pathlib import Path
 
 import pytest
 
+from jitower.cli import verify_certificate
 from jitower.groups import TableGroup, word_images
+from jitower.tower import load_tower, save_tower
 from jitower.words import ball_size
 
-SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+SPANS = BENCH / "spans.py"
 
 
 def _targets() -> list:
@@ -54,3 +60,23 @@ def test_ball_size_counts_the_walk(d):
     for n in range(6):
         walk = word_images(group.generators, group.identity, n)
         assert ball_size(d, n) == sum(1 for _ in walk), (d, n)
+
+
+@pytest.mark.parametrize("workload, tower", [("build-default", "default_tower"),
+                                             ("build-d3", "rank_three_tower"),
+                                             ("build-frozen", "budget_tower")])
+def test_fixture_builds_match_benchmark_pins(workload, tower, request, tmp_path):
+    # the workload's config is the fixture's, so the tower file and the
+    # certificate are byte-identical to what the benchmark pins
+    pin = json.loads((BENCH / "pins.json").read_text())[workload]
+    state, cert = request.getfixturevalue(tower)
+    save_tower(state, tmp_path / "t.twr")
+    assert hashlib.sha256((tmp_path / "t.twr").read_bytes()).hexdigest() \
+        == pin["tower_sha256"]
+    assert hashlib.sha256(cert.to_json().encode()).hexdigest() == pin["report_sha256"]
+
+
+def test_verify_all_matches_benchmark_pin():
+    pin = json.loads((BENCH / "pins.json").read_text())["verify-default"]
+    cert = verify_certificate(load_tower(BENCH / "default.twr"), ("all",))
+    assert hashlib.sha256(cert.to_json().encode()).hexdigest() == pin["report_sha256"]

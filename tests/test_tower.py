@@ -8,7 +8,7 @@ import pytest
 from jitower.certificate import FAIL
 from jitower.extension import ExtensionGroup
 from jitower.gmodule import GModule
-from jitower.groups import TableGroup, word_image
+from jitower.groups import TABLE_CAP, TableGroup, word_image
 from jitower.linalg import PrimeField, Subspace
 from jitower.tower import (FeasibilityStop, LoadError, TowerConfig, _scan_words,
                            build, hlist_gate, init_tower, load_tower,
@@ -16,7 +16,7 @@ from jitower.tower import (FeasibilityStop, LoadError, TowerConfig, _scan_words,
                            serialize_tower, step, torsion_shadow_check)
 from jitower.words import OrderBudget, Word, enumerate_words
 
-from conftest import c2, reference_torsion_check
+from conftest import c2, random_element, reference_torsion_check
 
 
 def test_init_trivial_seed():
@@ -82,7 +82,7 @@ def test_default_tower_exponents(default_tower):
     rng = random.Random(4)
     g2 = state.group(2)
     for _ in range(20):
-        assert 6 % g2.element_order(g2.random_element(rng)) == 0
+        assert 6 % g2.element_order(random_element(g2, rng)) == 0
 
 
 def test_enumeration_of_level_two(default_tower):
@@ -97,7 +97,7 @@ def test_projection_is_homomorphism(default_tower):
     rng = random.Random(9)
     g3, g2 = state.top, state.group(2)
     for _ in range(30):
-        a, b = g3.random_element(rng), g3.random_element(rng)
+        a, b = random_element(g3, rng), random_element(g3, rng)
         assert (a * b).lower == a.lower * b.lower
 
 
@@ -128,6 +128,19 @@ def test_feasibility_stop_on_enum_cap():
     assert state.depth == 2      # the step from the 324-element level is barred
     assert state.truncated
     assert cert.overall() == "pass"
+
+
+def test_feasibility_stop_on_table_cap_leaves_the_ledger():
+    # |G_2| = 7^4 * 4 = 9604 is enumerable but above the multiplication-table
+    # cap; a test budget of 4^len would freeze words in G_2 if the scan ran
+    state = init_tower(TowerConfig(primes=(2, 7, 3), budget=OrderBudget(1, 4),
+                                   test_budget=True, mode="relaxed"))
+    step(state)
+    assert state.top.order == 9604 > TABLE_CAP
+    ledger = dict(state.ledger)
+    with pytest.raises(FeasibilityStop, match="multiplication-table cap 8192"):
+        step(state)
+    assert state.ledger == ledger and state.depth == 2
 
 
 def test_frozen_ledger(budget_tower):

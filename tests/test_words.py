@@ -1,14 +1,15 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jitower.groups import word_image
-from jitower.words import (FormalSum, OrderBudget, Word, enumerate_words,
-                           fox_eval, fox_identity_defect, fox_vector, word_count)
+from jitower.groups import TABLE_CAP, word_image
+from jitower.relmod import boundary_matrix
+from jitower.words import OrderBudget, Word, enumerate_words, fox_vector, word_count
 
-from conftest import c22, s3
+from conftest import c22, reference_fox_vector, s3
 
 
 def test_reduce_cancels_adjacent_pairs():
@@ -97,78 +98,95 @@ def test_budget_tail_sum_against_partial_summation():
     assert partial < budget.tail_sum(d)
 
 
-def _sample_images(group, rng, d=2):
-    els = group.elements()
-    return [els[rng.randrange(len(els))] for _ in range(d)]
+def _random_word(rng, max_len):
+    return Word.make([rng.choice([1, -1]) * rng.randint(1, 2)
+                      for _ in range(rng.randint(0, max_len))])
+
+
+def _unit(n, *terms):
+    """The coordinate vector of sum c*g over (index, c) terms, unreduced."""
+    out = np.zeros(n, dtype=np.int64)
+    for g, c in terms:
+        out[g] += c
+    return out
 
 
 def test_fox_base_cases():
     g = c22()
     p = 3
-    t1, t2 = g.generators
-    one = g.identity
-    # d(x1 x2)/dx1 = 1
-    assert fox_eval(Word.make([1, 2]), 1, [t1, t2], one, p) == FormalSum.one(p, one)
+    t1, t2 = g._gen_idx
+    inv = g.inverse_table()
+    # d(x1 x2)/dx1 = 1 and d(x1 x2)/dx2 = x1
+    vec, image = fox_vector(Word.make([1, 2]), g, (t1, t2), p)
+    assert np.array_equal(vec, np.concatenate([_unit(4, (0, 1)), _unit(4, (t1, 1))]))
+    assert image == g.table[t1, t2]
     # d(x1^-1)/dx1 = -x1^-1
-    assert (fox_eval(Word.make([-1]), 1, [t1, t2], one, p)
-            == FormalSum(p, {t1.inverse(): -1}))
+    vec, image = fox_vector(Word.make([-1]), g, (t1, t2), p)
+    assert np.array_equal(vec[:4], _unit(4, (inv[t1], p - 1))) and not vec[4:].any()
+    assert image == inv[t1]
+    assert not fox_vector(Word(), g, (t1, t2), p)[0].any()
+    with pytest.raises(ValueError):
+        fox_vector(Word.make([3]), g, (t1, t2), p)
 
 
 def test_fox_conjugate_expansion():
     # d(x1 x2 x1^-1)/dx1 = 1 - x1 x2 x1^-1, by the product rule by hand
     g = s3()
     p = 5
-    t1, t2 = g.generators
-    one = g.identity
-    w = Word.make([1, 2, -1])
-    value = t1 * t2 * t1.inverse()
-    assert (fox_eval(w, 1, [t1, t2], one, p)
-            == FormalSum(p, {one: 1, value: -1}))
+    t1, t2 = g._gen_idx
+    value = g.table[g.table[t1, t2], g.inverse_table()[t1]]
+    vec, image = fox_vector(Word.make([1, 2, -1]), g, (t1, t2), p)
+    assert image == value
+    assert np.array_equal(vec[:6], _unit(6, (0, 1), (value, -1)) % p)
 
 
 def test_fox_fundamental_identity_random():
+    # boundary(vec) = image - 1 for the boundary of the image tuple
     rng = random.Random(11)
     for group in (c22(), s3()):
-        one = group.identity
+        n = group.order
         for _ in range(200):
-            images = _sample_images(group, rng)
-            letters = [rng.choice([1, -1]) * rng.randint(1, 2)
-                       for _ in range(rng.randint(0, 10))]
-            w = Word.make(letters)
-            assert fox_identity_defect(w, images, one, 5).is_zero()
+            images = [rng.randrange(n) for _ in range(2)]
+            vec, image = fox_vector(_random_word(rng, 10), group, images, 5)
+            assert np.array_equal(boundary_matrix(group, images, 5) @ vec % 5,
+                                  _unit(n, (image, 1), (0, -1)) % 5)
 
 
 def test_fox_product_rule_random():
+    # vec(uv) = vec(u) + u.vec(v), where u acts on each copy by the gather
+    # (u.f)(h) = f(u^-1 h)
     rng = random.Random(12)
     group = s3()
-    one = group.identity
-    p = 7
+    n, p = group.order, 7
+    pull = group.table[group.inverse_table()]
     for _ in range(150):
-        images = _sample_images(group, rng)
-        u = Word.make([rng.choice([1, -1]) * rng.randint(1, 2)
-                       for _ in range(rng.randint(0, 6))])
-        v = Word.make([rng.choice([1, -1]) * rng.randint(1, 2)
-                       for _ in range(rng.randint(0, 6))])
-        du, pu = fox_vector(u, images, one, p)
-        dv, _ = fox_vector(v, images, one, p)
-        duv, _ = fox_vector(u * v, images, one, p)
-        for i in range(2):
-            assert duv[i] == du[i] + dv[i].translated(pu)
+        images = [rng.randrange(n) for _ in range(2)]
+        u, v = _random_word(rng, 6), _random_word(rng, 6)
+        vu, iu = fox_vector(u, group, images, p)
+        vv, iv = fox_vector(v, group, images, p)
+        vuv, iuv = fox_vector(u * v, group, images, p)
+        acted = vv.reshape(2, n)[:, pull[iu]].reshape(-1)
+        assert np.array_equal(vuv, (vu + acted) % p)
+        assert iuv == group.table[iu, iv]
 
 
-def test_formal_sum_arithmetic():
-    g = c22()
-    one = g.identity
-    t = g.generators[0]
-    a = FormalSum(3, {one: 2, t: 1})
-    b = FormalSum(3, {one: 1, t: 2})
-    assert a + b == FormalSum(3, {})
-    assert (a - a).is_zero()
-    assert a.scaled(3).is_zero()
-    # (1 + t)(1 - t) = 1 - t^2 = 0 in F_3[C2x...] with t of order 2
-    c = FormalSum(3, {one: 1, t: 1})
-    d = FormalSum(3, {one: 1, t: -1})
-    assert (c * d).is_zero()
+@pytest.mark.parametrize("tower", ["default_tower", "budget_tower", "forced_hlist_tower",
+                                   "seeded_hlist_tower", "rank_three_tower"])
+def test_fox_vector_matches_reference(tower, request):
+    # every word of length <= 6 over each base group the tower forges over
+    state, _ = request.getfixturevalue(tower)
+    d = state.config.d
+    words = enumerate_words(d, 6)
+    for k in range(state.depth):
+        group = state.group(k)
+        if group.order > TABLE_CAP:
+            continue
+        gen_idxs = [group.index_of(t) for t in group.generators]
+        p = state.levels[k].p
+        for w in words:
+            vec, image = fox_vector(w, group, gen_idxs, p)
+            want_vec, want_image = reference_fox_vector(w, group, group.generators, p)
+            assert image == want_image and np.array_equal(vec, want_vec), (tower, k, w)
 
 
 @settings(max_examples=50, deadline=None)
