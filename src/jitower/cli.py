@@ -194,24 +194,27 @@ def verify_certificate(state: TowerState, wanted=DEFAULT_CHECKS) -> Certificate:
                                size_bound_report, tower_chain)
         level = _max_enumerable_level(state)
         chain = tower_chain(state)[:level + 1]
-        if len(chain) >= 1 and chain[-1].order <= 2000:
-            descs, check = classification_report(
-                chain, guard=state.config.submodule_guard)
-            cert.checks.append(check)
-            cert.checks.append(size_bound_report(chain, descs))
-            _, gchecks = growth_report(chain, guard=state.config.submodule_guard)
-            cert.checks.extend(gchecks)
-        else:
+        guard = state.config.submodule_guard
+        try:
+            if chain[-1].order > 2000:
+                raise CapExceeded(f"top enumerable level has order {chain[-1].order}, "
+                                  "brute force capped at 2000")
+            descs, check = classification_report(chain, guard=guard)
+            _, gchecks = growth_report(chain, guard=guard)
+            cert.checks += [check, size_bound_report(chain, descs), *gchecks]
+        except CapExceeded as exc:
             cert.checks.append(CheckResult(
-                "normals.classification-oracle", SKIPPED,
-                f"top enumerable level has order {chain[-1].order}, "
-                "brute force capped at 2000"))
+                "normals.classification-oracle", SKIPPED, str(exc)))
     if "rigidity" in wanted:
         from .analysis import rigidity_report
         for i in range(1, state.depth):
             if state.group(i).is_enumerable(state.config.enum_cap):
-                cert.checks.append(rigidity_report(
-                    state, i, guard=state.config.submodule_guard))
+                try:
+                    cert.checks.append(rigidity_report(
+                        state, i, guard=state.config.submodule_guard))
+                except CapExceeded as exc:
+                    cert.checks.append(CheckResult(
+                        f"rigidity.level{i + 1}", SKIPPED, str(exc)))
     return cert
 
 

@@ -9,8 +9,10 @@ kills the span of every relator power image, the span of every H_j-fixed
 space, and the canonical trivial line (the norm vector of copy 0), and
 returns the quotient of the relation module.  The surviving module V has
 dim V >= (d-1)|G|*delta, carries lifted generators (e_i, t_i), and admits
-the order-preservation, fixed-space-vanishing and fixed-space-bound checks
-that ``verify_conclusions`` re-derives numerically.
+the order-preservation and fixed-space-vanishing checks that
+``verify_conclusions`` re-derives numerically.  Building and loading a
+level both derive its module, generators and section through
+``derive_level``.
 
 The trivial line is killed in every branch, not only when both lists are
 empty: the fixed-space bound needs the killed space to contain a G-fixed
@@ -27,11 +29,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .certificate import CheckResult, FAIL, PASS, SAMPLED, SKIPPED
+from .certificate import CheckResult, FAIL, PASS
 from .extension import ExtensionGroup
 from .gmodule import GModule
 from .groups import GroupHandle, word_image
-from .linalg import PrimeField, Subspace, solve_batch
+from .linalg import PrimeField, Subspace
 from .relmod import RelationModule, relation_module, relator_power_image
 
 __all__ = [
@@ -41,6 +43,7 @@ __all__ = [
     "SubgroupData",
     "compute_delta",
     "build_module",
+    "derive_level",
     "splitting_vector",
     "verify_conclusions",
     "section_is_homomorphism",
@@ -123,17 +126,22 @@ def compute_delta(group: GroupHandle, d: int, word_orders, subgroups) -> Fractio
 
 
 def splitting_vector(rel: RelationModule) -> np.ndarray:
-    """A = sum over h of a particular solution of  boundary(a) = h - 1.
+    """A = sum over h of the tree path P[h], which solves  boundary(a) = h - 1.
 
     Then (1-g)A/|G| solves the same equation for g, and the induced section
     g -> ((1-g)A/|G|, g) is a homomorphism on the nose.
     """
+    return rel.potentials.sum(axis=0) % rel.field.p
+
+
+def derive_level(rel: RelationModule, killed: Subspace) -> tuple:
+    """(V = R/S, the lifted generators e_i reduced mod S, the splitting
+    vector) for R = ``rel`` and S = ``killed``; raises ValueError unless S
+    is a G-stable subspace of the boundary kernel."""
+    module = rel.module.quotient(killed)
     n = rel.group.order
-    targets = np.zeros((n, n), dtype=np.int64)
-    targets[np.arange(n), np.arange(n)] += 1
-    targets[0] -= 1
-    sols = solve_batch(rel.boundary, targets % rel.field.p, rel.field.p)
-    return sols.sum(axis=1) % rel.field.p
+    gen_vecs = module.killed.reduce(np.eye(rel.d * n, dtype=np.int64)[::n])
+    return module, gen_vecs, splitting_vector(rel)
 
 
 def build_module(inp: ForgeInput) -> ForgeResult:
@@ -157,15 +165,8 @@ def build_module(inp: ForgeInput) -> ForgeResult:
         killed_rows.append(span.basis)
     killed = Subspace.span(inp.field, module.ambient_dim, np.vstack(
         [np.atleast_2d(r) for r in killed_rows]))
-    quotient = module.quotient(killed)
-
-    n = inp.group.order
-    gen_vecs = np.zeros((inp.d, module.ambient_dim), dtype=np.int64)
-    for i in range(inp.d):
-        gen_vecs[i, i * n] = 1
-    gen_vecs = quotient.killed.reduce(gen_vecs)
-
-    return ForgeResult(inp, rel, quotient, delta, gen_vecs, splitting_vector(rel))
+    quotient, gen_vecs, section_vec = derive_level(rel, killed)
+    return ForgeResult(inp, rel, quotient, delta, gen_vecs, section_vec)
 
 
 def cyclic_subgroup_reps(group: GroupHandle) -> list:
@@ -188,33 +189,23 @@ def cyclic_fixed_dims(rel: RelationModule, killed: Subspace) -> list:
             for e, size in cyclic_subgroup_reps(rel.group)]
 
 
-def verify_conclusions(result: ForgeResult, check_fixed_bound: bool = True,
-                       prefix: str = "forge") -> list:
+def verify_conclusions(result: ForgeResult, prefix: str = "forge") -> list:
     """Re-derive every advertised conclusion numerically.
 
-    Orders of the listed words are recomputed in the extension; the fixed
-    space of every listed subgroup is recomputed on V; the fixed-space
-    bound is checked for every cyclic subgroup of the base group (and is
-    labelled as sampled, since the full subgroup lattice is out of reach in
-    general).  The section is a homomorphism on all |G|^2 pairs, checked
-    exhaustively by induction on word length: ``section_is_homomorphism``
-    tests sec(g) + g.sec(t) = sec(gt) for every g and each generator t,
-    and the identity at (g, h) and (g, t) for all g gives it at (g, ht).
+    Orders of the listed words are recomputed in the extension, and the
+    fixed space of every listed subgroup is recomputed on V.  The section
+    is a homomorphism on all |G|^2 pairs, checked exhaustively by induction
+    on word length: ``section_is_homomorphism`` tests
+    sec(g) + g.sec(t) = sec(gt) for every g and each generator t, and the
+    identity at (g, h) and (g, t) for all g gives it at (g, ht).  The
+    fixed-space bounds over cyclic subgroups are ``tower.fixed_space_checks``.
     """
-    inp = result.input
-    checks = []
-    v = result.module
-
-    # generator decorations satisfy the derivation identity
-    ok = True
-    for i, g in enumerate(inp.gens):
-        want = result.rel.element_delta(g)
-        # any representative of the reduced coset has the same boundary image
-        if not np.array_equal(result.rel.derivation(result.gen_vecs[i]), want):
-            ok = False
-    checks.append(CheckResult(f"{prefix}.generator-derivation",
-                              PASS if ok else FAIL,
-                              "boundary(e_i) = t_i - 1 for every lifted generator"))
+    inp, rel = result.input, result.rel
+    # any representative of the reduced coset has the same boundary image
+    ok = all(np.array_equal(rel.derivation(vec), rel.element_delta(g))
+             for vec, g in zip(result.gen_vecs, inp.gens))
+    checks = [CheckResult(f"{prefix}.generator-derivation", PASS if ok else FAIL,
+                          "boundary(e_i) = t_i - 1 for every lifted generator")]
 
     if inp.words:
         pairs = list(zip(inp.word_orders, result.lifted_orders))
@@ -224,30 +215,10 @@ def verify_conclusions(result: ForgeResult, check_fixed_bound: bool = True,
             f"word orders in V:G vs G: {', '.join(f'{o}->{lo}' for o, lo in pairs)}"))
 
     if inp.subgroups:
-        ok = True
-        dims = []
-        for h in inp.subgroups:
-            dim = v.invariants(h.generators).dim
-            dims.append(dim)
-            if dim != 0:
-                ok = False
+        dims = [result.module.invariants(h.generators).dim for h in inp.subgroups]
         checks.append(CheckResult(f"{prefix}.fixed-vanish",
-                                  PASS if ok else FAIL,
+                                  FAIL if any(dims) else PASS,
                                   f"fixed-space dims on V: {dims}"))
-
-    if check_fixed_bound:
-        if result.delta > 0:
-            dims = cyclic_fixed_dims(result.rel, v.killed)
-            # dim V^K <= dim V / (delta |K|), exactly; the last violation is the witness
-            bad = [{"subgroup_size": size, "fixed_dim": dim} for size, dim in dims
-                   if Fraction(dim) > Fraction(v.live_dim) / (result.delta * size)]
-            checks.append(CheckResult(
-                f"{prefix}.fixed-bound-margin", FAIL if bad else SAMPLED,
-                f"dim V^K <= dim V/(delta*|K|) over {len(dims)} sampled subgroups",
-                witness=bad[-1] if bad else None))
-        else:
-            checks.append(CheckResult(f"{prefix}.fixed-bound-margin", SKIPPED,
-                                      "margin delta <= 0, bound not applicable"))
 
     checks.append(CheckResult(
         f"{prefix}.section-homomorphism",

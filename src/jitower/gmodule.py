@@ -225,17 +225,17 @@ class GModule:
             return self.live_dim
         return self.live_dim - rref(blocks, self.field.p)[2]
 
-    def quotient(self, extra: Subspace, check: bool = True) -> "GModule":
-        """Kill ``extra`` (a stable subspace of the live span) as well."""
+    def quotient(self, extra: Subspace) -> "GModule":
+        """Kill ``extra`` (a stable subspace of the live span) as well;
+        raises ValueError unless it is one."""
         if extra.field != self.field or extra.ambient_dim != self.ambient_dim:
             raise ValueError("subspace does not match the ambient")
-        if check:
-            if not self.live.contains_space(Subspace.span(
-                    self.field, self.ambient_dim, self.killed.reduce(extra.basis))):
-                raise ValueError("quotient space must lie in the live span")
-            if not self.stable(Subspace.span(self.field, self.ambient_dim,
-                                             self.killed.reduce(extra.basis))):
-                raise ValueError("quotient space is not stable under the group action")
+        reduced = Subspace.span(self.field, self.ambient_dim,
+                                self.killed.reduce(extra.basis))
+        if not self.live.contains_space(reduced):
+            raise ValueError("quotient space must lie in the live span")
+        if not self.stable(reduced):
+            raise ValueError("quotient space is not stable under the group action")
         killed = self.killed.sum(extra)
         live = Subspace.span(self.field, self.ambient_dim,
                              killed.reduce(self.live.basis))

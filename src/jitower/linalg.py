@@ -200,13 +200,10 @@ def kernel_basis(mat, field: PrimeField) -> Subspace:
     r, piv, rank = rref(a, field.p)
     pivset = set(piv)
     free = [c for c in range(cols) if c not in pivset]
-    if not free:
-        return Subspace.zero(field, cols)
+    # one vector per free column f: 1 at f, -r[i, f] at the i-th pivot
     vecs = np.zeros((len(free), cols), dtype=np.int64)
-    for k, f in enumerate(free):
-        vecs[k, f] = 1
-        for i, c in enumerate(piv):
-            vecs[k, c] = (-r[i, f]) % field.p
+    vecs[np.arange(len(free)), free] = 1
+    vecs[:, list(piv)] = -r[:rank, free].T % field.p
     return Subspace.span(field, cols, vecs)
 
 

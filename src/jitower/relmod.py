@@ -7,6 +7,11 @@ presentation x_i -> t_i; its dimension is (d-1)|G| + 1 and, by Gaschuetz's
 classical decomposition, the fixed space of any subgroup H has dimension
 (d-1)|G:H| + 1.
 
+The boundary is the incidence map of the Cayley graph h -> h*t_i, so its
+kernel is the cycle space (Gruenberg, Relation Modules of Finite Groups,
+1976).  One spanning tree gives both the kernel, spanned by fundamental
+cycles, and the tree paths P[h] that solve boundary(a) = h - 1.
+
 Elements of the free group embed multiplicatively into pairs
 (fox vector, image): the vector of evaluated Fox derivatives satisfies the
 derivation identity  boundary(vector) = image - 1, and pairs multiply by
@@ -28,13 +33,13 @@ import numpy as np
 
 from .gmodule import GModule
 from .groups import GroupHandle, closure_indices
-from .linalg import PrimeField, Subspace, kernel_basis, rref
+from .linalg import PrimeField, Subspace, rref
 from .words import Word, fox_vector
 
 __all__ = [
     "RelationModule",
     "relation_module",
-    "boundary_matrix",
+    "spanning_tree",
     "magnus_pair",
     "relator_power_image",
 ]
@@ -45,7 +50,7 @@ class RelationModule:
     """The kernel of the boundary map, presented as the live part of a GModule."""
 
     module: GModule
-    boundary: np.ndarray
+    potentials: np.ndarray         # row h: the tree path P[h], boundary(P[h]) = h - 1
     group: GroupHandle
     gens: tuple
     field: PrimeField
@@ -59,9 +64,12 @@ class RelationModule:
         return self.module.live_dim
 
     def derivation(self, vec) -> np.ndarray:
-        """boundary @ vec, an element of F_p[G] in coordinate form."""
-        return self.boundary @ (np.asarray(vec, dtype=np.int64) % self.field.p) \
-            % self.field.p
+        """boundary(vec) in F_p[G], as a gather: coordinate g gets the
+        columns (i, g t_i^-1) and loses the columns (i, g)."""
+        idxs = [self.group.index_of(t) for t in self.gens]
+        pull = self.group.mult_table()[:, self.group.inverse_table()[idxs]]
+        v = np.asarray(vec, dtype=np.int64).reshape(self.d, -1)
+        return (v[np.arange(self.d), pull].sum(axis=1) - v.sum(axis=0)) % self.field.p
 
     def element_delta(self, g) -> np.ndarray:
         """The coordinate vector of g - 1 in F_p[G]."""
@@ -88,44 +96,69 @@ class RelationModule:
         return (self.d - 1) * index + 1 - (s - rank)
 
 
-def boundary_matrix(group: GroupHandle, gen_idxs, p: int) -> np.ndarray:
-    """The |G| x d|G| boundary matrix sending column (i, h) to h*t_i - h."""
+def spanning_tree(group: GroupHandle, gen_idxs, p: int) -> tuple:
+    """``(tree, potentials)``: Kruskal's spanning forest of the Cayley graph
+    over the columns (i, h) in column order, and the |G| x d|G| array of
+    tree paths P[h] from 1 to h, which solve boundary(a) = h - 1 (zero
+    where the forest does not reach h).  The boundary's column matroid is
+    graphic and rref picks its lex-first basis, so the forest is exactly
+    the pivot set of the boundary's rref."""
     n = group.order
-    table = group.mult_table()
-    d = len(gen_idxs)
-    b = np.zeros((n, d * n), dtype=np.int64)
-    rows = np.arange(n)
-    for i, t in enumerate(gen_idxs):
-        cols = i * n + rows
-        b[table[:, t], cols] = (b[table[:, t], cols] + 1) % p
-        b[rows, cols] = (b[rows, cols] - 1) % p
-    return b
+    heads = group.mult_table()[:, list(gen_idxs)].T.reshape(-1)   # (i, h) ends at h*t_i
+    root = list(range(n))
+
+    def find(x: int) -> int:
+        while root[x] != x:
+            root[x] = root[root[x]]
+            x = root[x]
+        return x
+
+    tree, adjacent = [], [[] for _ in range(n)]
+    for c, head in enumerate(heads.tolist()):
+        a, b = find(c % n), find(head)
+        if a != b:
+            root[a] = b
+            tree.append(c)
+            adjacent[c % n].append((head, c, 1))
+            adjacent[head].append((c % n, c, -1))
+    # breadth first from the identity: P[v] = P[u] +- e_c across tree edge c
+    potentials = np.zeros((n, heads.size), dtype=np.int64)
+    queue, seen = [0], {0}
+    for u in queue:
+        for v, c, sign in adjacent[u]:
+            if v not in seen:
+                seen.add(v)
+                queue.append(v)
+                potentials[v] = potentials[u]
+                potentials[v, c] += sign
+    return tuple(tree), potentials % p
 
 
 def relation_module(group: GroupHandle, gens, field: PrimeField) -> RelationModule:
     """Build the relation module for the given generating tuple.
 
     Requires p coprime to |G| and that the tuple generates; both are
-    checked.  The returned module has nothing killed yet, and its live
-    subspace is exactly the boundary kernel.
+    checked.  The fundamental cycles e_f + P[h] - P[h*t_i], one per column
+    f = (i, h) off the tree, span the kernel, the live subspace of the
+    returned module; nothing is killed yet.
     """
     if isinstance(field, int):
         field = PrimeField(field)
-    if group.order % field.p == 0:
-        raise ValueError(f"prime {field.p} divides the group order {group.order}")
+    n = group.order
+    if n % field.p == 0:
+        raise ValueError(f"prime {field.p} divides the group order {n}")
     gens = tuple(gens)
-    gen_idxs = [group.index_of(g) for g in gens]
-    reach = closure_indices(group.mult_table(), gen_idxs)
-    if reach.size != group.order:
+    gen_idxs = np.array([group.index_of(g) for g in gens], dtype=np.int64)
+    tree, potentials = spanning_tree(group, gen_idxs, field.p)
+    if len(tree) != n - 1:
         raise ValueError("the tuple does not generate the group")
-    b = boundary_matrix(group, gen_idxs, field.p)
-    kernel = kernel_basis(b, field)
-    module = GModule(field, group, len(gens), live=kernel)
-    expected = (len(gens) - 1) * group.order + 1
-    if module.live_dim != expected:
-        raise RuntimeError(
-            f"kernel dimension {module.live_dim} != expected {expected}")
-    return RelationModule(module, b, group, gens, field)
+    free = np.delete(np.arange(len(gens) * n), tree)
+    tails = free % n
+    cycles = potentials[tails] - potentials[group.mult_table()[tails, gen_idxs[free // n]]]
+    cycles[np.arange(free.size), free] += 1
+    kernel = Subspace.span(field, len(gens) * n, cycles % field.p)
+    return RelationModule(GModule(field, group, len(gens), live=kernel),
+                          potentials, group, gens, field)
 
 
 def magnus_pair(word: Word, rel: RelationModule):

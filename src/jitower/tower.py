@@ -11,9 +11,10 @@ fixed-space bounds, projection compatibility and the torsion shadow.
 
 Tower files are a versioned line-oriented text format; vectors are written
 as contiguous digit strings in base p (alphabet 0-9a-z, so p <= 36).
-Loading re-derives boundary kernels and validates every stored invariant,
-so a corrupted file fails loudly instead of producing a silently wrong
-tower.
+Loading re-derives each level's module, lifted generators and section
+vector through the same function the build uses, and requires the stored
+rows to equal them, so a corrupted file fails loudly instead of producing
+a silently wrong tower.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 from .certificate import Certificate, CheckResult, FAIL, NOT_GUARANTEED, PASS, SAMPLED
 from .extension import ExtensionGroup
 from .forge import (BuildError, ForgeInput, SubgroupData, build_module,
-                    compute_delta, cyclic_fixed_dims, splitting_vector,
+                    compute_delta, cyclic_fixed_dims, derive_level,
                     verify_conclusions)
 from .gmodule import GModule
 from .groups import TABLE_CAP, TableGroup, word_image, word_images
@@ -246,18 +247,19 @@ def hlist_gate(p: int, epsilon: Fraction) -> bool:
 
 
 def _first_level(config: TowerConfig, seed: TableGroup) -> Level:
+    """Level 1: the relation module of a trivial seed, or else the trivial
+    module F_p^d with the zero section."""
     field = PrimeField(config.primes[0])
     d = config.d
     if seed.order == 1:
         rel = relation_module(seed, seed.generators, field)
-        module = rel.module
-        section_vec = splitting_vector(rel)
+        module, gen_vecs, section_vec = derive_level(rel, Subspace.zero(field, d))
     else:
         rel = None
         module = GModule.trivial(field, seed, d)
+        # e_j is the unit vector at the identity of copy j
+        gen_vecs = module.killed.reduce(np.eye(d * seed.order, dtype=np.int64)[::seed.order])
         section_vec = np.zeros(module.ambient_dim, dtype=np.int64)
-    # e_j is the unit vector at the identity of copy j
-    gen_vecs = module.killed.reduce(np.eye(d * seed.order, dtype=np.int64)[::seed.order])
     group = ExtensionGroup(module, gen_vecs=gen_vecs,
                            gen_lowers=seed.generators,
                            section_vec=section_vec, name="level1")
@@ -452,7 +454,7 @@ def step(state: TowerState) -> Level:
         if gate.status == FAIL:
             raise BuildError(f"{gate.check} fails in strict mode: {gate.detail}")
 
-    state.checks.extend(verify_conclusions(res, check_fixed_bound=False, prefix=prefix))
+    state.checks.extend(verify_conclusions(res, prefix=prefix))
     state.checks.extend(fixed_space_checks(state, level))
     state.levels.append(level)
 
@@ -722,10 +724,11 @@ def load_tower(path) -> TowerState:
 
 
 def _load_level(rd: _Reader, state: TowerState, li: int) -> Level:
-    """Read level ``li``.  Its module is re-derived from the stored killed
-    basis, and r, s, delta, hlist and relaxed from the ledger and the
-    config, except that delta is only bounded above when s > 0, because
-    the closure-list term of the margin is not recomputed."""
+    """Read level ``li``.  Its module, generators and section are re-derived
+    (level 1 from the seed, above it from the stored killed basis) and must
+    equal the stored rows; r, s, delta, hlist and relaxed are re-derived
+    from the ledger and the config, except that delta is only bounded
+    above when s > 0 (the closure-list term is not recomputed)."""
     config = state.config
     if rd.field("level") != li:
         raise LoadError(f"levels out of order at {li}")
@@ -760,34 +763,23 @@ def _load_level(rd: _Reader, state: TowerState, li: int) -> Level:
     srows = vectors("srow", sdim)
     gen_vecs = vectors("gen", config.d)
     section_vec = vectors("section", 1)[0]
-    killed = Subspace.span(field, ambient, srows)
-    if killed.dim != sdim or not np.array_equal(killed.basis, srows):
-        raise LoadError(f"level {li}: stored basis is not in canonical reduced form")
 
     if li == 1:
         level = _first_level(config, state.seed)
-        if (level.module.killed != killed
-                or not np.array_equal(level.gen_vecs, gen_vecs)
-                or not np.array_equal(level.section_vec, section_vec)):
-            raise LoadError("level 1 is not the one its seed determines")
+        derived = (level.module, level.gen_vecs, level.section_vec)
     else:
         try:
             rel = relation_module(below, below.generators, field)
-            # raises unless the killed rows are a submodule of the boundary kernel
-            module = rel.module.quotient(killed)
+            # raises unless the rows span a submodule of the boundary kernel
+            derived = derive_level(rel, Subspace.span(field, ambient, srows))
         except ValueError as exc:
             raise LoadError(f"level {li}: {exc}") from None
-        if not np.array_equal(module.killed.reduce(gen_vecs), gen_vecs):
-            raise LoadError(f"level {li}: generator decorations are not reduced")
-        for i, g in enumerate(below.generators):
-            if not np.array_equal(rel.derivation(gen_vecs[i]), rel.element_delta(g)):
-                raise LoadError(
-                    f"level {li}: generator decoration {i} breaks the derivation "
-                    "identity")
-        want = np.zeros(below.order, dtype=np.int64) + 1
-        want[0] = (1 - below.order) % p
-        if not np.array_equal(rel.derivation(section_vec), want % p):
-            raise LoadError(f"level {li}: section vector fails its boundary identity")
+    module, *rows = derived
+    if not all(map(np.array_equal, (module.killed.basis, *rows),
+                   (srows, gen_vecs, section_vec))):
+        raise LoadError(f"level {li}: the stored killed basis, generator rows or "
+                        "section row differ from the ones derived")
+    if li > 1:
         group = ExtensionGroup(module, gen_vecs=gen_vecs,
                                gen_lowers=below.generators,
                                section_vec=section_vec, name=f"level{li}")

@@ -1,9 +1,11 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from jitower.certificate import FAIL, NOT_GUARANTEED, PASS, CheckResult
 from jitower.extension import ExtensionGroup
-from jitower.forge import ForgeInput, SubgroupData, build_module
+from jitower.forge import ForgeInput, SubgroupData, build_module, cyclic_fixed_dims
 from jitower.groups import TableElement, TableGroup, word_image
 from jitower.linalg import PrimeField
 from jitower.tower import TowerConfig, build
@@ -104,6 +106,31 @@ def reference_fox_vector(word, group, images, p):
         for g, c in terms.items():
             vec[j * n + group.index_of(g)] = c % p
     return vec, group.index_of(prefix)
+
+
+def boundary_matrix(group, gen_idxs, p: int) -> np.ndarray:
+    """The dense |G| x d|G| boundary matrix sending column (i, h) to
+    h*t_i - h.  The oracle for the spanning-tree relation module: its rref
+    pivots, kernel, batched solutions and products are the tree, the
+    kernel, the splitting vector's summands and ``derivation``."""
+    n = group.order
+    table = group.mult_table()
+    d = len(gen_idxs)
+    b = np.zeros((n, d * n), dtype=np.int64)
+    rows = np.arange(n)
+    for i, t in enumerate(gen_idxs):
+        cols = i * n + rows
+        b[table[:, t], cols] = (b[table[:, t], cols] + 1) % p
+        b[rows, cols] = (b[rows, cols] - 1) % p
+    return b
+
+
+def fixed_bound_holds(res) -> bool:
+    """Whether a forging result with delta > 0 keeps dim V^K <=
+    dim V/(delta |K|) on every cyclic subgroup K of its base group."""
+    return res.delta > 0 and all(
+        Fraction(dim) <= Fraction(res.dim) / (res.delta * size)
+        for size, dim in cyclic_fixed_dims(res.rel, res.module.killed))
 
 
 def random_element(group, rng):

@@ -277,3 +277,27 @@ def test_normals_max_index_below_one_exits_two(tmp_path, capsys, value):
     capsys.readouterr()
     assert main(["normals", "--tower", tower, "--max-index", value]) == 2
     assert f"--max-index {value}" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def guard_100_tower(tmp_path_factory):
+    """The stock depth-3 tower built with submodule_guard = 100: V_2 = F_3^4
+    has 212 subspaces, more than the guard allows."""
+    tmp = tmp_path_factory.mktemp("guard")
+    cfg = write_config(tmp / "g.cfg", depth=3, submodule_guard=100)
+    tower = str(tmp / "g.twr")
+    assert main(["build", "--config", cfg, "--out", tower]) == 0
+    return tower
+
+
+@pytest.mark.parametrize("group, check", [("rigidity", "rigidity.level3"),
+                                          ("normals", "normals.classification-oracle")])
+def test_verify_group_over_submodule_guard_is_skipped(guard_100_tower, tmp_path,
+                                                      capsys, group, check):
+    report = tmp_path / "r.json"
+    assert main(["verify", "--tower", guard_100_tower, "--checks", group,
+                 "--report", str(report)]) == 0
+    capsys.readouterr()
+    checks = {c["check"]: c for c in json.loads(report.read_text())["checks"]}
+    assert checks[check]["status"] == "skipped"
+    assert checks[check]["detail"] == "212 candidate subspaces exceed the guard 100"

@@ -13,8 +13,8 @@ from jitower.groups import TableGroup
 from jitower.linalg import PrimeField
 from jitower.words import Word
 
-from conftest import (c3, c5, c22, forge_build, random_element,
-                      reference_section_check, s3)
+from conftest import (c3, c5, c22, fixed_bound_holds, forge_build,
+                      random_element, reference_section_check, s3)
 
 
 def test_delta_empty_lists_is_one():
@@ -78,7 +78,7 @@ def test_mixed_word_and_subgroup_build():
     checks = {c.check: c for c in verify_conclusions(res)}
     assert checks["forge.orders-preserved"].status == "pass"
     assert checks["forge.fixed-vanish"].status == "pass"
-    assert checks["forge.fixed-bound-margin"].status == "sampled"
+    assert fixed_bound_holds(res)
 
 
 def test_nonpositive_margin_raises_unless_relaxed():
@@ -91,7 +91,6 @@ def test_nonpositive_margin_raises_unless_relaxed():
     # order preservation still holds even though the margin is gone
     checks = {c.check: c for c in verify_conclusions(res)}
     assert checks["forge.orders-preserved"].status == "pass"
-    assert checks["forge.fixed-bound-margin"].status == "skipped"
 
 
 def test_three_cycle_word_on_s3():
@@ -184,8 +183,8 @@ def test_commutator_word_boundary_case():
     # line the fixed space would be 2-dimensional and the bound would fail
     assert Fraction(1) <= Fraction(res.dim) / (res.delta * 6)
     assert Fraction(2) > Fraction(res.dim + 1) / (res.delta * 6)
+    assert fixed_bound_holds(res)
     checks = {c.check: c for c in verify_conclusions(res)}
-    assert checks["forge.fixed-bound-margin"].status == "sampled"
     assert checks["forge.orders-preserved"].status == "pass"
 
 

@@ -3,19 +3,23 @@ import random
 import numpy as np
 import pytest
 
+from jitower.forge import splitting_vector
 from jitower.groups import TableGroup, word_image
-from jitower.linalg import PrimeField, Subspace, rref
-from jitower.relmod import magnus_pair, relation_module, relator_power_image
+from jitower.linalg import PrimeField, Subspace, kernel_basis, rref, solve_batch
+from jitower.relmod import (magnus_pair, relation_module, relator_power_image,
+                            spanning_tree)
 from jitower.words import Word
 
-from conftest import c2, c3, c4, c6, c22, s3
+from conftest import boundary_matrix, c2, c3, c4, c6, c22, s3
 
 
 def test_trivial_group_relation_module_is_full_space():
     g = TableGroup.trivial(2)
     rel = relation_module(g, g.generators, PrimeField(5))
     assert rel.kernel_dim == 2
-    assert not rel.boundary.any()
+    # both columns are loops: no tree edge, and every vector is a cycle
+    assert spanning_tree(g, [0, 0], 5)[0] == ()
+    assert not rel.derivation(np.ones(2, dtype=np.int64)).any()
 
 
 def test_klein_four_kernel_dimension():
@@ -25,11 +29,13 @@ def test_klein_four_kernel_dimension():
 
 
 def test_repeated_generator_tuple():
-    # C3 generated by (g, g): the boundary has rank |G| - 1 = 2
+    # C3 generated by (g, g): the boundary has rank |G| - 1 = 2, and the
+    # tree takes both edges of the first copy
     g = c3()
     rel = relation_module(g, g.generators, PrimeField(2))
-    _, _, rank = rref(rel.boundary, 2)
+    _, _, rank = rref(boundary_matrix(g, [1, 1], 2), 2)
     assert rank == 2
+    assert spanning_tree(g, [1, 1], 2)[0] == (0, 1)
     assert rel.kernel_dim == 6 - 2 == 4
 
 
@@ -173,3 +179,50 @@ def test_word_image_matches_magnus_value():
     rel = relation_module(g, g.generators, PrimeField(5))
     w = Word.make([1, 2, 1, -2])
     assert magnus_pair(w, rel)[1] == word_image(w, g.generators, g.identity)
+
+
+def _assert_tree_matches_dense(rel):
+    """The spanning tree is the boundary's rref pivot set, the kernel is
+    kernel_basis's, each potential P[h] is solve_batch's free-zero solution
+    of boundary(a) = h - 1 (so their sum is the splitting vector), and
+    derivation is the boundary product."""
+    group, p = rel.group, rel.field.p
+    n = group.order
+    gen_idxs = [group.index_of(t) for t in rel.gens]
+    b = boundary_matrix(group, gen_idxs, p)
+    assert spanning_tree(group, gen_idxs, p)[0] == rref(b, p)[1]
+    assert rel.module.live == kernel_basis(b, rel.field)
+    targets = np.eye(n, dtype=np.int64)
+    targets[0] -= 1
+    sols = solve_batch(b, targets % p, p)
+    assert np.array_equal(rel.potentials, sols.T)
+    assert np.array_equal(splitting_vector(rel), sols.sum(axis=1) % p)
+    rng = np.random.default_rng(n * p)
+    for v in rng.integers(0, p, size=(4, b.shape[1])):
+        assert np.array_equal(rel.derivation(v), b @ v % p)
+
+
+@pytest.mark.parametrize("tower", ["default_tower", "budget_tower",
+                                   "forced_hlist_tower", "seeded_hlist_tower",
+                                   "rank_three_tower"])
+def test_tree_matches_dense_oracle_on_fixture_towers(tower, request):
+    state, _ = request.getfixturevalue(tower)
+    levels = [lv for lv in state.levels if lv.rel is not None]
+    assert len(levels) == len(state.levels) - (state.seed.order > 1)
+    for lv in levels:
+        _assert_tree_matches_dense(lv.rel)
+        b = boundary_matrix(lv.rel.group, [lv.rel.group.index_of(t)
+                                           for t in lv.rel.gens], lv.p)
+        for row in (*lv.gen_vecs, lv.section_vec):
+            assert np.array_equal(lv.rel.derivation(row), b @ row % lv.p)
+
+
+@pytest.mark.parametrize("make", [c4, c6, c22, s3, lambda: TableGroup.trivial(2)],
+                         ids=["C4", "C6", "C2xC2", "S3", "trivial"])
+@pytest.mark.parametrize("d", [2, 3])
+def test_tree_matches_dense_oracle_on_small_groups(make, d):
+    # the trivial group's columns are all loops; d = 3 repeats an element
+    group = make()
+    gens = tuple(group.generators) + (group.elements()[-1],) * (d - 2)
+    for p in (5, 7):
+        _assert_tree_matches_dense(relation_module(group, gens, PrimeField(p)))

@@ -11,7 +11,7 @@ from jitower.gmodule import GModule
 from jitower.groups import TABLE_CAP, TableGroup, word_image
 from jitower.linalg import PrimeField, Subspace
 from jitower.tower import (FeasibilityStop, LoadError, TowerConfig, _scan_words,
-                           build, hlist_gate, init_tower, load_tower,
+                           _vec_str, build, hlist_gate, init_tower, load_tower,
                            normal_closure_in_extension, save_tower,
                            serialize_tower, step, torsion_shadow_check)
 from jitower.words import OrderBudget, Word, enumerate_words
@@ -405,6 +405,29 @@ def test_load_rejects_tampered_level3_field(default_tower, tmp_path, capsys,
     save_tower(state, path)
     path.write_text(_replace_last(path.read_text(), old, new))
     with pytest.raises(LoadError):
+        load_tower(path)
+    assert main(["verify", "--tower", str(path)]) == 2
+    assert "load error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["gen", "section"])
+def test_load_rejects_row_shifted_by_kernel_vector(default_tower, tmp_path, capsys,
+                                                   key):
+    # a live kernel vector keeps the row's boundary image, and the shifted
+    # generator row stays reduced, but the file now describes a different
+    # generating tuple or section from the one the build derives
+    from jitower.cli import main
+    state, _ = default_tower
+    lv = state.levels[2]
+    row = lv.gen_vecs[0] if key == "gen" else lv.section_vec
+    shifted = (row + lv.module.live.basis[0]) % lv.p
+    assert np.array_equal(lv.rel.derivation(shifted), lv.rel.derivation(row))
+    assert key == "section" or np.array_equal(lv.module.killed.reduce(shifted), shifted)
+    path = tmp_path / "t.twr"
+    save_tower(state, path)
+    path.write_text(_replace_last(path.read_text(), f"{key} {_vec_str(row)}",
+                                  f"{key} {_vec_str(shifted)}"))
+    with pytest.raises(LoadError, match="level 3: the stored killed basis"):
         load_tower(path)
     assert main(["verify", "--tower", str(path)]) == 2
     assert "load error" in capsys.readouterr().err

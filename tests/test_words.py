@@ -6,10 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from jitower.groups import TABLE_CAP, word_image
-from jitower.relmod import boundary_matrix
 from jitower.words import OrderBudget, Word, enumerate_words, fox_vector, word_count
 
-from conftest import c22, reference_fox_vector, s3
+from conftest import boundary_matrix, c22, reference_fox_vector, s3
 
 
 def test_reduce_cancels_adjacent_pairs():
